@@ -145,12 +145,14 @@ void BM_LinearForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearForward);
 
-// -- fused-epilogue linear forward at n³ --------------------------------
+// -- bias-fused linear forward at n³ -------------------------------------
 // Three implementations of the same relu(x·Wᵀ + b): the seed's (naive ikj
-// matmul, then separate bias and ReLU passes), the PR-1 blocked GEMM with
-// the same two extra passes, and the fused writeback (bias + ReLU inside
-// the microkernel, beta=0 into an uninitialized output). The CI ratchet
-// (bench/check_bench_ratchet.py) requires Fused ≥ 1.2× SeedTwoPass at 256.
+// matmul, then separate bias and ReLU passes), the blocked GEMM with the
+// same two extra passes, and the library's Linear→ReLU path (bias fused
+// into the GEMM writeback, beta=0 into an uninitialized output, then one
+// ReLU pass — what nn::Linear followed by nn::ReLU computes). The CI ratchet
+// (bench/check_bench_ratchet.py) requires FusedEpilogue ≥ 1.2× SeedTwoPass
+// at 256.
 
 void apply_bias_relu_two_pass(Tensor& y, const Tensor& bias) {
   const long rows = y.dim(0), cols = y.dim(1);
@@ -196,8 +198,8 @@ void BM_LinearFusedEpilogue(benchmark::State& state) {
   Tensor w = Tensor::randn({n, n}, rng);
   Tensor bias = Tensor::randn({n}, rng);
   for (auto _ : state) {
-    Tensor y = gemm_fused(x, w, false, true,
-                          runtime::Epilogue::kBiasColRelu, bias);
+    Tensor y = gemm_fused(x, w, false, true, runtime::Epilogue::kBiasCol, bias);
+    for (float& v : y.vec()) v = v > 0.0f ? v : 0.0f;
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);

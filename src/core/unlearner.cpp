@@ -117,10 +117,12 @@ UnlearnRoundResult GoldfishUnlearner::run_round() {
 
   UnlearnRoundResult r;
   const long base = engine_->rounds_completed();
+  long distilled = 0;  // clients that distilled: departed ones do not
   engine_->run(engine_->sync_scenario(1, /*local_accuracy=*/false),
                [&](const fl::StepResult& s) {
                  r.round = base + s.step;
                  r.global_accuracy = s.global_accuracy;
+                 distilled = s.updates_consumed;
                });
 
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -128,7 +130,7 @@ UnlearnRoundResult GoldfishUnlearner::run_round() {
   r.clients_terminated_early = terminated_early_;
   double tsum = 0.0;
   for (double t : temps_) tsum += t;
-  r.mean_temperature = tsum / double(temps_.size());
+  if (distilled > 0) r.mean_temperature = tsum / double(distilled);
   return r;
 }
 

@@ -70,7 +70,7 @@ struct UnlearnRoundResult {
   double global_accuracy = 0.0;
   long total_epochs_run = 0;       ///< Σ over clients (early term. shrinks it)
   long clients_terminated_early = 0;
-  double mean_temperature = 0.0;   ///< mean adaptive temperature across clients
+  double mean_temperature = 0.0;   ///< mean T over clients that distilled
 };
 
 class GoldfishUnlearner {

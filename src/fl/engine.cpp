@@ -5,6 +5,7 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <map>
 #include <queue>
 #include <stdexcept>
 #include <tuple>
@@ -65,7 +66,6 @@ FlConfig validated(FlConfig cfg, std::size_t num_clients) {
     fail("async.mean_duration must be positive");
   if (!(cfg.async.duration_log_jitter >= 0.0))
     fail("async.duration_log_jitter must be >= 0");
-  if (cfg.eval_batch < 0) fail("eval_batch must be >= 0 (0 means auto)");
   return cfg;
 }
 
@@ -194,7 +194,7 @@ Engine::Engine(nn::Model global, std::vector<data::Dataset> client_data,
       test_(std::move(server_test)),
       cfg_(validated(std::move(cfg), clients_.size())),
       sched_(&runtime::scheduler_for(cfg_.threads, owned_sched_)),
-      eval_(test_, cfg_.eval_batch) {
+      eval_(test_) {
   GOLDFISH_CHECK(!clients_.empty(), "engine needs clients");
   GOLDFISH_CHECK(!test_.empty(), "engine needs a server test set");
   stackable_ = stackable_mlp();
@@ -217,7 +217,7 @@ Engine::Engine(nn::Model global, population::Population pop,
       test_(std::move(server_test)),
       cfg_(validated(std::move(cfg), pop_->clients.num_clients())),
       sched_(&runtime::scheduler_for(cfg_.threads, owned_sched_)),
-      eval_(test_, cfg_.eval_batch) {
+      eval_(test_) {
   GOLDFISH_CHECK(pop_->clients.num_clients() > 0, "engine needs clients");
   GOLDFISH_CHECK(!test_.empty(), "engine needs a server test set");
   stackable_ = stackable_mlp();
@@ -233,17 +233,18 @@ Engine::ModelLease::ModelLease(Engine& eng) : eng_(eng) {
   {
     std::lock_guard<std::mutex> lock(eng_.pool_mu_);
     if (!eng_.pool_.empty()) {
-      model_ = std::move(eng_.pool_.back());
-      eng_.pool_.pop_back();
+      model_ = std::move(eng_.pool_.front());
+      eng_.pool_.pop_front();
       return;
     }
     ++eng_.pool_total_;
   }
-  // First time this concurrency depth is reached (at most the scheduler's
-  // parallelism): seed a fresh replica. Every later lease reuses it. Cloned
-  // from the immutable template, not global_: the aggregation loop writes
-  // global_ while worker-thread leases may still be growing the pool.
+  // Deeper than execute() seeded the pool: clone a fresh replica. Every
+  // later lease reuses it. Cloned from the immutable template, not global_:
+  // the aggregation loop writes global_ while worker-thread leases may still
+  // be growing the pool.
   model_ = std::make_unique<nn::Model>(eng_.replica_template_);
+  model_->keep_scratch();
 }
 
 Engine::ModelLease::~ModelLease() {
@@ -322,14 +323,14 @@ void Engine::stacked_local_accuracy(const std::vector<ClientUpdate>& updates,
   }
 
   const long rows_total = test_.size();
-  // Bound the stacked activation block (chunk × K·h floats) when no explicit
-  // evaluation batch is configured.
-  long chunk = cfg_.eval_batch;
-  if (chunk == 0 && rows_total * nh > (1L << 24))
-    chunk = std::max(256L, (1L << 24) / nh);
-  if (chunk == 0 || chunk > rows_total) chunk = rows_total;
+  // Bound the stacked activation block (chunk × K·h floats).
+  long chunk = rows_total;
+  if (rows_total * nh > (1L << 24))
+    chunk = std::min(rows_total, std::max(256L, (1L << 24) / nh));
 
   std::vector<long> correct(static_cast<std::size_t>(n), 0);
+  if (stacked_logits_.size() < updates.size())
+    stacked_logits_.resize(updates.size());
   for (long lo = 0; lo < rows_total; lo += chunk) {
     const long hi = std::min(rows_total, lo + chunk);
     const long rows = hi - lo;
@@ -344,10 +345,13 @@ void Engine::stacked_local_accuracy(const std::vector<ClientUpdate>& updates,
       y = view.second;
     }
     const Tensor& x = whole ? test_.features : x_chunk;
-    // All clients' hidden activations in one fused GEMM: relu(x·Wᵀ + b),
-    // exactly the peepholed Linear→ReLU forward, column block c = client c.
+    // All clients' hidden activations in one GEMM, x·Wᵀ + b, column block
+    // c = client c; then the ReLU in place, the same select as nn::ReLU.
     gemm_fused_into(stacked_y_, x, stacked_w_, false, true,
-                    runtime::Epilogue::kBiasColRelu, stacked_b_);
+                    runtime::Epilogue::kBiasCol, stacked_b_);
+    float* yd = stacked_y_.data();
+    for (std::size_t i = 0; i < stacked_y_.numel(); ++i)
+      yd[i] = yd[i] > 0.0f ? yd[i] : 0.0f;
     // Each client's logits head reads its strided slice of the block.
     // grain=1: each body is a whole per-client head GEMM — coarse enough
     // that per-item claims are noise and load balance matters more.
@@ -356,7 +360,8 @@ void Engine::stacked_local_accuracy(const std::vector<ClientUpdate>& updates,
         [&](std::size_t c) {
           const Tensor& w2 = updates[c].params[2];
           const Tensor& b2 = updates[c].params[3];
-          Tensor logits = Tensor::uninit({rows, k});
+          Tensor& logits = stacked_logits_[c];
+          logits.resize_uninit({rows, k});
           runtime::sgemm(false, true, rows, k, h,
                          stacked_y_.data() + static_cast<long>(c) * h, nh,
                          w2.data(), h, logits.data(), k, /*beta=*/0.0f,
@@ -829,6 +834,46 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
     version_refs[static_cast<std::size_t>(tp.from_version)].fetch_add(
         1, std::memory_order_relaxed);
   }
+  // Steady-state zero allocation must not depend on how tasks overlapped in
+  // earlier runs. So: one replica per lane (at most one per task) is seeded
+  // here, not when overlap first demands it, and leases rotate FIFO, so a
+  // run uses, and thereby warms, every replica.
+  std::size_t consumed = 0;
+  for (const std::vector<std::size_t>& ids : by_version) consumed += ids.size();
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    for (; pool_total_ < std::min(sched_->parallelism(), consumed);
+         ++pool_total_) {
+      pool_.push_back(std::make_unique<nn::Model>(replica_template_));
+      pool_.back()->keep_scratch();
+    }
+  }
+
+  const WirePolicy* wirep = scenario.wire.get();
+  const bool hold_ref = wirep->needs_reference();
+  if (!pop_ && aggregations > 0) {
+    // Likewise the pool is topped up to a bound on live parameter-sized
+    // buffers: each task alive in aggregation a's iteration holds its
+    // undownloaded version or its decoded upload (both while a reference
+    // wire decodes), plus the fresh merge and one version of slack.
+    // Population runs size memory by the cohort and skip this.
+    std::vector<long> in_flight(static_cast<std::size_t>(aggregations) + 1, 0);
+    for (const Schedule::Task& tp : plan.tasks) {
+      if (tp.consumed_by < 0) continue;
+      ++in_flight[static_cast<std::size_t>(std::max(0L, tp.from_version - 1))];
+      --in_flight[static_cast<std::size_t>(tp.consumed_by) + 1];
+    }
+    long peak = 0;
+    for (long a = 0, live = 0; a < aggregations; ++a)
+      peak = std::max(peak, live += in_flight[static_cast<std::size_t>(a)]);
+    const std::size_t bound =
+        static_cast<std::size_t>(peak) * (hold_ref ? 2 : 1) + 2;
+    std::map<std::size_t, std::size_t> per_size;  // numel → tensors per set
+    for (const nn::ParamRef& p : global_.params())
+      ++per_size[p.value->numel()];
+    for (const auto& [numel, tensors] : per_size)
+      recycle_.reserve(numel, tensors * bound);
+  }
 
   // Version v's parameters live until the last task downloading them has
   // broadcast (the releasing task parks the storage back in the recycler).
@@ -841,8 +886,6 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
   // Reference-needing wires (delta) read version v's parameters during the
   // encode/decode roundtrip, so the version-release refcount drop moves
   // after the wire path for them.
-  const WirePolicy* wirep = scenario.wire.get();
-  const bool hold_ref = wirep->needs_reference();
   const bool lossy = !wirep->lossless();
   // Per-task local accuracy for architectures whose evaluation cannot be
   // stacked: measured on the still-leased replica right after training,
@@ -881,7 +924,8 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
         // decoded (possibly lossy) reconstruction. One buffer per worker
         // thread; its capacity is retained across tasks.
         static thread_local std::string wire_buf;
-        std::vector<Tensor> snap = local.snapshot();
+        std::vector<Tensor>& snap = local.scratch()->snapshot;
+        local.snapshot_into(snap);
         const std::vector<Tensor>* ref = hold_ref ? &version_params[from_v] : nullptr;
         wirep->encode(snap, ref, wire_buf);
         wire_bytes[id] = wire_buf.size();

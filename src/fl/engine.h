@@ -26,6 +26,7 @@
 #pragma once
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -76,10 +77,6 @@ struct FlConfig {
   /// kernels inside them still use the global pool, so to pin the whole
   /// process set GOLDFISH_THREADS instead.
   std::size_t threads = 0;
-  /// Rows per server-side evaluation batch; 0 (default) auto-bounds the
-  /// chunk (~2^21 input floats; sets below that run as one fused forward
-  /// pass per model). Accuracy/MSE are bit-identical for any value.
-  long eval_batch = 0;
   std::uint64_t seed = 7;
   /// Buffered-asynchronous mode parameters (defaults for async scenarios).
   AsyncFlConfig async;
@@ -357,10 +354,10 @@ class Engine {
   struct Schedule;
   struct EpochTable;
 
-  /// RAII lease of a pooled model replica: pops a free replica (cloning the
-  /// global model only when the pool has never been this deep — i.e. the
-  /// first run), returns it on destruction. Leases never outlive the
-  /// engine.
+  /// RAII lease of a pooled model replica: takes the least recently
+  /// returned free replica (cloning one only when the pool is deeper than
+  /// execute() seeded it), returns it on destruction. Leases never outlive
+  /// the engine.
   class ModelLease {
    public:
     explicit ModelLease(Engine& eng);
@@ -385,10 +382,10 @@ class Engine {
   /// whose per-client evaluation can be stacked into one wide GEMM.
   bool stackable_mlp() const;
   /// Batched client evaluation: concatenate every update's hidden-layer
-  /// weights into one (K·h, D) matrix so a single fused GEMM per test chunk
-  /// computes all clients' hidden activations, then run each client's
-  /// logits head on its strided slice. Bit-identical to evaluating the
-  /// clients one at a time.
+  /// weights into one (K·h, D) matrix so a single bias-fused GEMM per test
+  /// chunk, followed by one in-place ReLU pass, computes all clients'
+  /// hidden activations; then run each client's logits head on its strided
+  /// slice. Bit-identical to evaluating the clients one at a time.
   void stacked_local_accuracy(const std::vector<ClientUpdate>& updates,
                               std::vector<double>& local_acc);
 
@@ -419,11 +416,12 @@ class Engine {
   std::atomic<bool> running_{false};
 
   std::mutex pool_mu_;
-  std::vector<std::unique_ptr<nn::Model>> pool_;  // free replicas
-  std::size_t pool_total_ = 0;                    // replicas ever created
+  std::deque<std::unique_ptr<nn::Model>> pool_;  // free replicas, FIFO
+  std::size_t pool_total_ = 0;                   // replicas ever created
 
   // Stacked-evaluation scratch, reused across rounds.
   Tensor stacked_w_, stacked_b_, stacked_y_;
+  std::vector<Tensor> stacked_logits_;  // one per client head
   bool stackable_ = false;  // computed once: the architecture never changes
 
   // Population-mode run scratch: filled by execute(), committed (telemetry,

@@ -13,7 +13,12 @@ TrainStats train_local(nn::Model& model, const data::Dataset& ds,
   nn::Sgd::Options sgd_opts;
   sgd_opts.lr = opts.lr;
   sgd_opts.momentum = opts.momentum;
-  nn::Sgd sgd(sgd_opts);
+  // A model that keeps scratch (a pooled FL replica) trains without
+  // allocating; any other uses per-call storage.
+  nn::Model::Scratch call_scratch;
+  nn::Model::Scratch& scratch =
+      model.scratch() != nullptr ? *model.scratch() : call_scratch;
+  nn::Sgd sgd(sgd_opts, scratch.velocity);
   Rng rng(opts.seed);
 
   // backward() accumulates into whatever the gradient buffers hold; a model
@@ -23,7 +28,7 @@ TrainStats train_local(nn::Model& model, const data::Dataset& ds,
   model.zero_grad();
 
   TrainStats stats;
-  Tensor x;             // batch storage reused across steps and epochs
+  Tensor& x = scratch.batch;
   std::vector<long> y;
   for (long e = 0; e < opts.epochs; ++e) {
     data::BatchIterator it(ds, opts.batch_size, rng);
@@ -32,10 +37,10 @@ TrainStats train_local(nn::Model& model, const data::Dataset& ds,
       const auto [idx, count] = it.batch_span(b);
       ds.batch_into(idx, count, x, y);
       const Tensor& logits = model.forward(x, /*train=*/true);
-      losses::LossResult r = loss->eval(logits, y);
-      model.backward(r.grad_logits);
+      const float value = loss->eval_into(logits, y, scratch.grad_logits);
+      model.backward(scratch.grad_logits);
       sgd.step(model);
-      epoch_loss += r.value;
+      epoch_loss += value;
       ++stats.steps;
     }
     stats.epoch_losses.push_back(

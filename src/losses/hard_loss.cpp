@@ -1,5 +1,6 @@
 #include "losses/hard_loss.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/check.h"
@@ -19,25 +20,34 @@ void check_batch(const Tensor& logits, const std::vector<long>& labels) {
 
 }  // namespace
 
-LossResult CrossEntropyLoss::eval(const Tensor& logits,
-                                  const std::vector<long>& labels) const {
+float CrossEntropyLoss::eval_into(const Tensor& logits,
+                                  const std::vector<long>& labels,
+                                  Tensor& grad) const {
   check_batch(logits, labels);
   const long n = logits.dim(0), c = logits.dim(1);
-  const Tensor logp = log_softmax_rows(logits);
-  const Tensor p = softmax_rows(logits);
-  LossResult r;
-  r.grad_logits = p;  // start from softmax, subtract one-hot below
+  grad.resize_uninit(logits.shape());
   double total = 0.0;
   const float inv_n = 1.0f / static_cast<float>(n);
   for (long i = 0; i < n; ++i) {
+    // Row i of softmax_rows and log_softmax_rows, op for op, with the
+    // softmax written straight into the gradient (one-hot subtracted below).
+    const float* z = logits.data() + i * c;
+    float* g = grad.data() + i * c;
+    float mx = -1e30f;
+    for (long j = 0; j < c; ++j) mx = std::max(mx, z[j]);
+    double denom = 0.0;
+    for (long j = 0; j < c; ++j) {
+      g[j] = std::exp(z[j] - mx);
+      denom += g[j];
+    }
+    const float inv = static_cast<float>(1.0 / denom);
+    for (long j = 0; j < c; ++j) g[j] *= inv;
     const long y = labels[static_cast<std::size_t>(i)];
-    total -= logp.at(i, y);
-    r.grad_logits.at(i, y) -= 1.0f;
+    total -= (z[y] - mx) - static_cast<float>(std::log(denom));
+    g[y] -= 1.0f;
+    for (long j = 0; j < c; ++j) g[j] *= inv_n;
   }
-  for (long i = 0; i < n; ++i)
-    for (long j = 0; j < c; ++j) r.grad_logits.at(i, j) *= inv_n;
-  r.value = static_cast<float>(total / n);
-  return r;
+  return static_cast<float>(total / n);
 }
 
 LossResult FocalLoss::eval(const Tensor& logits,

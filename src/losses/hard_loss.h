@@ -28,6 +28,14 @@ class HardLoss {
   /// Mean loss over the batch; labels.size() must equal logits.dim(0).
   virtual LossResult eval(const Tensor& logits,
                           const std::vector<long>& labels) const = 0;
+  /// eval() with the gradient written into `grad` (reshaped in place, so a
+  /// reused buffer allocates nothing); returns the loss value.
+  virtual float eval_into(const Tensor& logits, const std::vector<long>& labels,
+                          Tensor& grad) const {
+    LossResult r = eval(logits, labels);
+    grad = std::move(r.grad_logits);
+    return r.value;
+  }
   virtual std::string name() const = 0;
   virtual std::unique_ptr<HardLoss> clone() const = 0;
 };
@@ -36,7 +44,13 @@ class HardLoss {
 class CrossEntropyLoss final : public HardLoss {
  public:
   LossResult eval(const Tensor& logits,
-                  const std::vector<long>& labels) const override;
+                  const std::vector<long>& labels) const override {
+    LossResult r;
+    r.value = eval_into(logits, labels, r.grad_logits);
+    return r;
+  }
+  float eval_into(const Tensor& logits, const std::vector<long>& labels,
+                  Tensor& grad) const override;
   std::string name() const override { return "cross_entropy"; }
   std::unique_ptr<HardLoss> clone() const override {
     return std::make_unique<CrossEntropyLoss>(*this);

@@ -22,13 +22,10 @@ const Tensor& Linear::forward(const Tensor& x, bool /*train*/) {
   GOLDFISH_CHECK(x.rank() == 2 && x.dim(1) == in_,
                  "linear input shape " + x.shape_str());
   cached_input_ = x;  // member copy: capacity reused across steps
-  // Bias (and the peepholed ReLU) ride the GEMM writeback — no extra pass.
+  // The bias rides the GEMM writeback — no extra pass.
   Tensor& y = slot(0, {x.dim(0), out_});
-  gemm_fused_into(y, x, weight_, false, true,
-                  fuse_relu_ ? runtime::Epilogue::kBiasColRelu
-                             : runtime::Epilogue::kBiasCol,
+  gemm_fused_into(y, x, weight_, false, true, runtime::Epilogue::kBiasCol,
                   bias_);  // (N, out)
-  if (fuse_relu_) cached_output_ = y;
   return y;
 }
 
@@ -36,27 +33,14 @@ const Tensor& Linear::backward(const Tensor& grad_output) {
   GOLDFISH_CHECK(grad_output.rank() == 2 && grad_output.dim(1) == out_,
                  "linear grad shape");
   GOLDFISH_CHECK(!cached_input_.empty(), "backward before forward");
-  const Tensor* grad = &grad_output;
-  if (fuse_relu_) {
-    // The folded ReLU's mask: post-activation > 0 ⟺ pre-activation > 0.
-    GOLDFISH_CHECK(grad_output.same_shape(cached_output_),
-                   "fused relu grad shape");
-    Tensor& masked = slot(1, grad_output.shape());
-    const float* gd_in = grad_output.data();
-    const float* yd = cached_output_.data();
-    float* gd = masked.data();
-    for (std::size_t i = 0; i < masked.numel(); ++i)
-      gd[i] = gd_in[i] * (yd[i] > 0.0f ? 1.0f : 0.0f);  // = ReLU::backward
-    grad = &masked;
-  }
   // dW = gradᵀ · x (accumulated in place) ; db = column sums ; dx = grad · W
-  gemm_acc(grad_weight_, *grad, cached_input_, true, false);
-  const long n = grad->dim(0);
+  gemm_acc(grad_weight_, grad_output, cached_input_, true, false);
+  const long n = grad_output.dim(0);
   for (long i = 0; i < n; ++i)
     for (long j = 0; j < out_; ++j)
-      grad_bias_[std::size_t(j)] += grad->at(i, j);
-  Tensor& dx = slot(2, {n, in_});
-  gemm_into(dx, *grad, weight_, false, false);
+      grad_bias_[std::size_t(j)] += grad_output.at(i, j);
+  Tensor& dx = slot(1, {n, in_});
+  gemm_into(dx, grad_output, weight_, false, false);
   return dx;
 }
 
@@ -70,10 +54,6 @@ std::unique_ptr<Layer> Linear::clone() const {
   copy->grad_weight_.zero();
   copy->grad_bias_.zero();
   copy->cached_input_ = Tensor();
-  copy->cached_output_ = Tensor();
-  // The fuse flag is container-managed state (Sequential re-sets it on
-  // every forward); a standalone clone must behave as a plain linear.
-  copy->fuse_relu_ = false;
   return copy;
 }
 

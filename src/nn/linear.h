@@ -1,4 +1,5 @@
-// Fully connected layer: y = x·Wᵀ + b.
+// Fully connected layer: y = x·Wᵀ + b, the bias fused into the GEMM
+// writeback. An activation after it is a separate layer (nn::ReLU).
 #pragma once
 
 #include "nn/layer.h"
@@ -15,27 +16,17 @@ class Linear final : public Layer {
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
-  std::size_t local_slots() const override { return 3; }  // y, masked g, dx
+  std::size_t local_slots() const override { return 2; }  // y, dx
 
   long in_features() const { return in_; }
   long out_features() const { return out_; }
-
-  /// Fold the ReLU that follows this layer into the GEMM writeback
-  /// (Sequential sets this when it peepholes a Linear→ReLU pair). A fused
-  /// forward returns the post-activation tensor and backward applies the
-  /// ReLU mask itself, so the standalone ReLU layer must be skipped in both
-  /// directions. Results are bit-identical to the unfused pair.
-  void set_fuse_relu(bool fuse) { fuse_relu_ = fuse; }
-  bool fuse_relu() const { return fuse_relu_; }
 
  private:
   long in_ = 0, out_ = 0;
   Tensor weight_;  // (out, in)
   Tensor bias_;    // (out)
   Tensor grad_weight_, grad_bias_;
-  Tensor cached_input_;   // (N, in) from the last forward
-  Tensor cached_output_;  // (N, out) post-ReLU, only kept when fused
-  bool fuse_relu_ = false;
+  Tensor cached_input_;  // (N, in) from the last forward
 };
 
 }  // namespace goldfish::nn

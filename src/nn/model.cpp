@@ -77,6 +77,20 @@ std::vector<Tensor> Model::snapshot() const {
   return out;
 }
 
+void Model::snapshot_into(std::vector<Tensor>& out) const {
+  const std::vector<ConstParamRef> ps = params();
+  out.resize(ps.size());
+  for (std::size_t i = 0; i < ps.size(); ++i) out[i] = *ps[i].value;
+}
+
+void Model::keep_scratch() {
+  if (scratch_ != nullptr) return;
+  scratch_ = std::make_unique<Scratch>();
+  snapshot_into(scratch_->snapshot);
+  for (const ParamRef& p : root_->params())
+    scratch_->velocity.push_back(Tensor::zeros(p.value->shape()));
+}
+
 void Model::load(const std::vector<Tensor>& values) {
   auto ps = root_->params();
   GOLDFISH_CHECK(ps.size() == values.size(),

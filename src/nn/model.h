@@ -47,6 +47,20 @@ class Model {
     return root_->backward(grad_logits);
   }
 
+  /// Training storage kept with the model instead of per call. Pooled FL
+  /// replicas opt in, so their tasks draw nothing from the shared buffer
+  /// pool; a model trained once would only hold the memory longer. Never
+  /// copied with the model.
+  struct Scratch {
+    Tensor batch;
+    Tensor grad_logits;
+    std::vector<Tensor> velocity;
+    std::vector<Tensor> snapshot;
+  };
+  /// Start keeping a Scratch, its parameter-shaped members sized at once.
+  void keep_scratch();
+  Scratch* scratch() { return scratch_.get(); }  ///< null unless kept
+
   /// All parameters (including batch-norm running stats, whose grad is null).
   std::vector<ParamRef> params() { return root_->params(); }
 
@@ -64,6 +78,9 @@ class Model {
   /// the ω that travels between client and server.
   std::vector<Tensor> snapshot() const;
 
+  /// snapshot() reusing `out`'s storage where shapes match.
+  void snapshot_into(std::vector<Tensor>& out) const;
+
   /// Restore parameter values from a snapshot of matching structure.
   void load(const std::vector<Tensor>& values);
 
@@ -78,6 +95,7 @@ class Model {
   std::unique_ptr<Layer> root_;
   long num_classes_ = 0;
   std::unique_ptr<Workspace> ws_;  // activation arena shared by all layers
+  std::unique_ptr<Scratch> scratch_;
 
   void attach();  // (re)bind root_ and children to ws_
 };

@@ -5,7 +5,6 @@
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
-#include "nn/linear.h"
 
 namespace goldfish::nn {
 
@@ -32,40 +31,15 @@ void Sequential::attach_workspace(Workspace* ws, std::size_t& next_key) {
   for (auto& l : layers_) l->attach_workspace(ws, next_key);
 }
 
-// Peephole: a Linear directly followed by a ReLU runs as one fused GEMM
-// (bias + ReLU in the writeback); the standalone ReLU layer is skipped in
-// both passes and the Linear applies the mask in its own backward. Results
-// are bit-identical to running the pair unfused.
-bool Sequential::fused_pair_at(std::size_t i) const {
-  return i + 1 < layers_.size() &&
-         dynamic_cast<const Linear*>(layers_[i].get()) != nullptr &&
-         dynamic_cast<const ReLU*>(layers_[i + 1].get()) != nullptr;
-}
-
 const Tensor& Sequential::forward(const Tensor& x, bool train) {
   const Tensor* h = &x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    if (auto* lin = dynamic_cast<Linear*>(layers_[i].get())) {
-      const bool fuse = fused_pair_at(i);
-      lin->set_fuse_relu(fuse);
-      h = &lin->forward(*h, train);
-      if (fuse) ++i;  // the ReLU ran inside the GEMM writeback
-    } else {
-      h = &layers_[i]->forward(*h, train);
-    }
-  }
+  for (auto& l : layers_) h = &l->forward(*h, train);
   return *h;
 }
 
 const Tensor& Sequential::backward(const Tensor& grad_output) {
   const Tensor* g = &grad_output;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    if (i > 0 && fused_pair_at(i - 1) &&
-        static_cast<const Linear*>(layers_[i - 1].get())->fuse_relu()) {
-      --i;  // skip the folded ReLU; the Linear applies its mask
-    }
-    g = &layers_[i]->backward(*g);
-  }
+  for (std::size_t i = layers_.size(); i-- > 0;) g = &layers_[i]->backward(*g);
   return *g;
 }
 

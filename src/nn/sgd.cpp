@@ -6,12 +6,20 @@ namespace goldfish::nn {
 
 void Sgd::step(Model& model) {
   auto params = model.params();
-  if (velocity_.empty()) {
-    velocity_.reserve(params.size());
-    for (const ParamRef& p : params)
-      velocity_.push_back(Tensor::zeros(p.value->shape()));
+  std::vector<Tensor>& velocity = borrowed_ ? *borrowed_ : velocity_;
+  if (!started_) {
+    // Momentum starts at zero; borrowed buffers of the right shape are
+    // zeroed in place rather than reallocated.
+    velocity.resize(params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      if (velocity[i].shape() == params[i].value->shape())
+        velocity[i].zero();
+      else
+        velocity[i] = Tensor::zeros(params[i].value->shape());
+    }
+    started_ = true;
   }
-  GOLDFISH_CHECK(velocity_.size() == params.size(),
+  GOLDFISH_CHECK(velocity.size() == params.size(),
                  "optimizer bound to a different model structure");
 
   // Global gradient-norm clip across all trainable tensors.
@@ -27,7 +35,7 @@ void Sgd::step(Model& model) {
   for (std::size_t i = 0; i < params.size(); ++i) {
     ParamRef& p = params[i];
     if (p.grad == nullptr) continue;
-    Tensor& v = velocity_[i];
+    Tensor& v = velocity[i];
     float* vd = v.data();
     float* wd = p.value->data();
     const float* gd = p.grad->data();

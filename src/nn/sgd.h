@@ -20,6 +20,10 @@ class Sgd {
 
   Sgd() = default;
   explicit Sgd(Options opts) : opts_(opts) {}
+  /// Momentum buffers borrowed from `velocity` (zeroed on the first step)
+  /// instead of owned.
+  Sgd(Options opts, std::vector<Tensor>& velocity)
+      : opts_(opts), borrowed_(&velocity) {}
 
   const Options& options() const { return opts_; }
   void set_lr(float lr) { opts_.lr = lr; }
@@ -33,6 +37,8 @@ class Sgd {
   Options opts_;
   // Momentum buffers keyed by parameter order; sized lazily on first step.
   std::vector<Tensor> velocity_;
+  std::vector<Tensor>* borrowed_ = nullptr;  // used instead when set
+  bool started_ = false;
 };
 
 }  // namespace goldfish::nn

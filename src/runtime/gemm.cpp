@@ -59,11 +59,10 @@ thread_local PackBuffer tl_pack_b;
 
 /// Per-tile writeback mode: how the microkernel's register block lands in C.
 /// `overwrite` is set on the first KC slice of a beta=0 product (C's prior
-/// contents are not read); the bias/relu fields are set only on the final KC
+/// contents are not read); the bias fields are set only on the final KC
 /// slice, where the epilogue fires.
 struct Writeback {
   bool overwrite = false;
-  bool relu = false;
   const float* bias_col = nullptr;  // tile-local: indexed by j in [0, nr)
   const float* bias_row = nullptr;  // tile-local: indexed by i in [0, mr)
 };
@@ -108,12 +107,12 @@ void pack_b(const float* B, long ldb, bool trans, long p0, long kc, long j0,
 
 // Register-tiled microkernel: acc(MR×NR) = Σ_p Ap[p]·Bp[p] over one packed
 // panel pair, then land the valid mr×nr region in C per the Writeback mode
-// (overwrite vs accumulate, optional fused bias broadcast and ReLU — all
-// applied while the tile is still in registers, so the epilogue costs no
-// extra pass over C). Written with GCC/Clang vector extensions because the
-// auto-vectorizer reliably fails to promote a scalar float acc[MR][NR] into
-// full-width registers (it picked 128-bit lanes and spilled); an explicit
-// vector accumulator block pins both the width and the register residency.
+// (overwrite vs accumulate, optional fused bias broadcast — applied while
+// the tile is still in registers, so the epilogue costs no extra pass over
+// C). Written with GCC/Clang vector extensions because the auto-vectorizer
+// reliably fails to promote a scalar float acc[MR][NR] into full-width
+// registers (it picked 128-bit lanes and spilled); an explicit vector
+// accumulator block pins both the width and the register residency.
 #if defined(__AVX__) || defined(__AVX512F__)
 
 #if defined(__AVX512F__)
@@ -138,7 +137,6 @@ void micro_kernel(long kc, const float* Ap, const float* Bp, float* C,
     }
   }
   if (mr == MR && nr == NR) {
-    const vecf vzero = {};
     vecf bc0 = {}, bc1 = {};
     if (wb.bias_col) {
       bc0 = *reinterpret_cast<const vecf*>(wb.bias_col);
@@ -160,10 +158,6 @@ void micro_kernel(long kc, const float* Ap, const float* Bp, float* C,
         r0 += wb.bias_row[i];
         r1 += wb.bias_row[i];
       }
-      if (wb.relu) {
-        r0 = r0 > vzero ? r0 : vzero;
-        r1 = r1 > vzero ? r1 : vzero;
-      }
       c[0] = r0;
       c[1] = r1;
     }
@@ -176,7 +170,6 @@ void micro_kernel(long kc, const float* Ap, const float* Bp, float* C,
         if (!wb.overwrite) v += C[i * ldc + j];
         if (wb.bias_col) v += wb.bias_col[j];
         if (wb.bias_row) v += wb.bias_row[i];
-        if (wb.relu) v = v > 0.0f ? v : 0.0f;
         C[i * ldc + j] = v;
       }
     }
@@ -202,7 +195,6 @@ void micro_kernel(long kc, const float* Ap, const float* Bp, float* C,
       if (!wb.overwrite) v += C[i * ldc + j];
       if (wb.bias_col) v += wb.bias_col[j];
       if (wb.bias_row) v += wb.bias_row[i];
-      if (wb.relu) v = v > 0.0f ? v : 0.0f;
       C[i * ldc + j] = v;
     }
   }
@@ -214,16 +206,13 @@ void micro_kernel(long kc, const float* Ap, const float* Bp, float* C,
 /// still define C. Kept off the hot path; loops are fine.
 void epilogue_only(long m, long n, float* C, long ldc, float beta, Epilogue ep,
                    const float* bias) {
-  const bool col = ep == Epilogue::kBiasCol || ep == Epilogue::kBiasColRelu;
-  const bool row = ep == Epilogue::kBiasRow || ep == Epilogue::kBiasRowRelu;
-  const bool relu =
-      ep == Epilogue::kBiasColRelu || ep == Epilogue::kBiasRowRelu;
+  const bool col = ep == Epilogue::kBiasCol;
+  const bool row = ep == Epilogue::kBiasRow;
   for (long i = 0; i < m; ++i) {
     for (long j = 0; j < n; ++j) {
       float v = beta == 0.0f ? 0.0f : C[i * ldc + j];
       if (col) v += bias[j];
       if (row) v += bias[i];
-      if (relu) v = v > 0.0f ? v : 0.0f;
       C[i * ldc + j] = v;
     }
   }
@@ -242,12 +231,8 @@ void sgemm(bool transa, bool transb, long m, long n, long k, const float* A,
   if (sched == nullptr) sched = &Scheduler::global();
   const bool parallel = m * n * k >= kParallelFlops;
 
-  const bool bias_is_col =
-      epilogue == Epilogue::kBiasCol || epilogue == Epilogue::kBiasColRelu;
-  const bool bias_is_row =
-      epilogue == Epilogue::kBiasRow || epilogue == Epilogue::kBiasRowRelu;
-  const bool fuse_relu =
-      epilogue == Epilogue::kBiasColRelu || epilogue == Epilogue::kBiasRowRelu;
+  const bool bias_is_col = epilogue == Epilogue::kBiasCol;
+  const bool bias_is_row = epilogue == Epilogue::kBiasRow;
 
   float* bp = tl_pack_b.ensure(static_cast<std::size_t>(
       ((std::min(n, NC) + NR - 1) / NR) * NR * std::min(k, KC)));
@@ -264,7 +249,6 @@ void sgemm(bool transa, bool transb, long m, long n, long k, const float* A,
       const bool last = pc + kc >= k;
       const float* bias_col = last && bias_is_col ? bias + jc : nullptr;
       const float* bias_row = last && bias_is_row ? bias : nullptr;
-      const bool relu = last && fuse_relu;
 
       const long num_row_panels = (m + MC - 1) / MC;
       if (num_row_panels > 1) {
@@ -282,7 +266,6 @@ void sgemm(bool transa, bool transb, long m, long n, long k, const float* A,
               for (long ir = 0; ir < mc; ir += MR) {
                 Writeback wb;
                 wb.overwrite = overwrite;
-                wb.relu = relu;
                 if (bias_col) wb.bias_col = bias_col + jr;
                 if (bias_row) wb.bias_row = bias_row + ic + ir;
                 micro_kernel(kc, ap + (ir / MR) * kc * MR, bpanel,
@@ -311,7 +294,6 @@ void sgemm(bool transa, bool transb, long m, long n, long k, const float* A,
             for (long ir = 0; ir < m; ir += MR) {
               Writeback wb;
               wb.overwrite = overwrite;
-              wb.relu = relu;
               if (bias_col) wb.bias_col = bias_col + jr;
               if (bias_row) wb.bias_row = bias_row + ir;
               micro_kernel(kc, ap + (ir / MR) * kc * MR, bpanel,

@@ -95,6 +95,13 @@ BufferPoolScope::~BufferPoolScope() {
     for (float* ptr : ptrs) ::operator delete(ptr);
 }
 
+void BufferPoolScope::reserve(std::size_t n, std::size_t count) {
+  Pool& p = pool();
+  std::lock_guard<std::mutex> lock(p.mu);
+  std::vector<float*>& parked = p.free[n];
+  while (parked.size() < count) parked.push_back(heap_allocate(n));
+}
+
 namespace alloc_stats {
 
 bool enabled() {

@@ -47,6 +47,11 @@ class BufferPoolScope {
   ~BufferPoolScope();
   BufferPoolScope(const BufferPoolScope&) = delete;
   BufferPoolScope& operator=(const BufferPoolScope&) = delete;
+
+  /// Top the parked blocks of `n` floats up to `count`, so a workload that
+  /// never holds more than `count` of them at once never misses, however
+  /// its threads interleave.
+  void reserve(std::size_t n, std::size_t count);
 };
 
 namespace alloc_stats {

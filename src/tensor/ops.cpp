@@ -69,9 +69,7 @@ void gemm_fused_into(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
   const auto [kb, n] = op_dims(b, trans_b);
   GOLDFISH_CHECK(kb == k, "gemm inner dims: " + a.shape_str() + " · " +
                               b.shape_str());
-  const bool per_col = epilogue == runtime::Epilogue::kBiasCol ||
-                       epilogue == runtime::Epilogue::kBiasColRelu;
-  const long want = per_col ? n : m;
+  const long want = epilogue == runtime::Epilogue::kBiasCol ? n : m;
   GOLDFISH_CHECK(bias.rank() == 1 && bias.dim(0) == want,
                  "gemm_fused bias shape " + bias.shape_str());
   c.resize_uninit({m, n});

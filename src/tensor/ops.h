@@ -21,12 +21,11 @@ namespace goldfish {
 /// (beta=0) into an uninitialized tensor — no zero-fill pass.
 Tensor gemm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b);
 
-/// C = epilogue(op(A)·op(B)): the product with a bias broadcast (and
-/// optionally ReLU) fused into the GEMM writeback instead of separate passes
-/// over C. `bias` must be 1-D with length n for the per-column variants
-/// (linear layers: one bias per output feature) and length m for the per-row
-/// variants (conv: one bias per output channel of the im2col product).
-/// Bit-identical to gemm() followed by the equivalent bias/ReLU passes.
+/// C = epilogue(op(A)·op(B)): the product with a bias broadcast fused into
+/// the GEMM writeback instead of a separate pass over C. `bias` must be 1-D
+/// with length n for kBiasCol (linear layers: one bias per output feature)
+/// and length m for kBiasRow (conv: one bias per output channel of the
+/// im2col product). Bit-identical to gemm() followed by a bias-add pass.
 /// `epilogue` must not be kNone — call gemm() for the plain product.
 Tensor gemm_fused(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
                   runtime::Epilogue epilogue, const Tensor& bias);

@@ -11,7 +11,11 @@ std::size_t Tensor::shape_numel(const Shape& shape) {
   std::size_t n = 1;
   for (long d : shape) {
     GOLDFISH_CHECK(d >= 0, "negative dimension");
-    n *= static_cast<std::size_t>(d);
+    const auto ud = static_cast<std::size_t>(d);
+    GOLDFISH_CHECK(
+        ud == 0 || n <= std::numeric_limits<std::size_t>::max() / ud,
+        "shape element count overflows");
+    n *= ud;
   }
   return n;
 }

@@ -177,11 +177,14 @@ class Tensor {
   /// Squared L2 norm of all elements.
   float squared_norm() const;
 
+  /// Element count of `shape`; throws CheckError on a negative dimension or
+  /// when the product overflows std::size_t (a shape read from an untrusted
+  /// header must not wrap to a small count).
+  static std::size_t shape_numel(const Shape& shape);
+
  private:
   Shape shape_;
   FloatBuffer data_;
-
-  static std::size_t shape_numel(const Shape& shape);
 };
 
 // -- free-function arithmetic (value-returning) ---------------------------

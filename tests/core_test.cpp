@@ -345,5 +345,27 @@ TEST(Unlearner, RejectsBadRequests) {
   EXPECT_THROW(ul.request_deletion({{0, {100000}}}), CheckError);
 }
 
+TEST(Unlearner, MeanTemperatureCountsOnlyClientsThatDistilled) {
+  auto tt = data::make_synthetic(
+      data::default_spec(data::DatasetKind::Mnist, 75, 160, 40));
+  Rng rng(76);
+  auto parts = data::partition_iid(tt.train, 4, rng);
+  nn::Model trained = nn::make_mlp({1, 28, 28}, 8, 10, rng);
+  nn::Model fresh = nn::make_mlp({1, 28, 28}, 8, 10, rng);
+  core::UnlearnConfig cfg;
+  cfg.distill.max_epochs = 1;
+  cfg.distill.use_adaptive_temperature = false;  // every client uses T
+  const double t = cfg.distill.loss.temperature;
+  core::GoldfishUnlearner ul(trained, fresh, parts, tt.test, cfg);
+  EXPECT_DOUBLE_EQ(ul.run_round().mean_temperature, t);
+
+  // Client 3 leaves for good: later rounds average over the 3 that remain.
+  fl::Scenario s = ul.engine().sync_scenario(1, /*local_accuracy=*/false);
+  s.leaves.push_back({0.0, 3});
+  ul.engine().collect(std::move(s));
+  ASSERT_EQ(ul.engine().active_clients(), 3u);
+  EXPECT_DOUBLE_EQ(ul.run_round().mean_temperature, t);
+}
+
 }  // namespace
 }  // namespace goldfish

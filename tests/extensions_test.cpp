@@ -3,6 +3,8 @@
 // training smoke tests.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/sharded_client.h"
 #include "core/unlearner.h"
 #include "data/partition.h"
@@ -192,6 +194,39 @@ TEST(ShardedFleet, OutOfRangeClientThrows) {
 // -- architecture sweep: every factory model trains end to end -----------------
 
 class ArchSweep : public ::testing::TestWithParam<const char*> {};
+
+// Borrowed momentum buffers (here stale from some earlier run) are zeroed on
+// the first step, so training matches an optimizer that owns fresh ones.
+TEST(Sgd, BorrowedVelocityMatchesOwnedBitwise) {
+  Rng rng(190);
+  nn::Model owned_model = nn::make_mlp({1, 4, 4}, 8, 3, rng);
+  nn::Model borrowed_model = owned_model;
+  Rng drng(191);
+  const Tensor x = Tensor::randn({5, 16}, drng);
+  const std::vector<long> y{0, 1, 2, 0, 1};
+  losses::CrossEntropyLoss ce;
+  nn::Sgd::Options o;
+  o.lr = 0.1f;
+  std::vector<Tensor> stale;
+  for (const nn::ParamRef& p : borrowed_model.params())
+    stale.push_back(Tensor::full(p.value->shape(), 7.0f));
+  nn::Sgd owned(o);
+  nn::Sgd borrowed(o, stale);
+  for (int step = 0; step < 3; ++step) {
+    owned_model.backward(ce.eval(owned_model.forward(x, true), y).grad_logits);
+    owned.step(owned_model);
+    borrowed_model.backward(
+        ce.eval(borrowed_model.forward(x, true), y).grad_logits);
+    borrowed.step(borrowed_model);
+  }
+  const auto a = owned_model.snapshot();
+  const auto b = borrowed_model.snapshot();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t t = 0; t < a.size(); ++t)
+    EXPECT_EQ(std::memcmp(a[t].data(), b[t].data(),
+                          a[t].numel() * sizeof(float)),
+              0);
+}
 
 TEST_P(ArchSweep, OneTrainingStepChangesParamsAndKeepsShape) {
   const std::string arch = GetParam();

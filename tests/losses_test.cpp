@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "losses/goldfish_loss.h"
 #include "tensor/ops.h"
@@ -37,6 +38,34 @@ TEST(CrossEntropy, BatchSizeMismatchThrows) {
   losses::CrossEntropyLoss ce;
   Tensor z({2, 3});
   EXPECT_THROW(ce.eval(z, {0}), CheckError);
+}
+
+// eval_into computes softmax row by row in place of the gradient; it must
+// reproduce the tensor-level softmax_rows/log_softmax_rows formulation bit
+// for bit, and a reused gradient buffer keeps its storage.
+TEST(CrossEntropy, EvalIntoMatchesSoftmaxRowsBitwiseAndReusesBuffer) {
+  Rng rng(41);
+  const Tensor z = Tensor::randn({7, 10}, rng, 0.0f, 3.0f);
+  const std::vector<long> y{0, 9, 3, 3, 5, 1, 8};
+  const Tensor logp = log_softmax_rows(z);
+  Tensor want = softmax_rows(z);
+  double total = 0.0;
+  for (long i = 0; i < 7; ++i) {
+    total -= logp.at(i, y[static_cast<std::size_t>(i)]);
+    want.at(i, y[static_cast<std::size_t>(i)]) -= 1.0f;
+  }
+  for (std::size_t k = 0; k < want.numel(); ++k) want[k] *= 1.0f / 7.0f;
+  const float want_value = static_cast<float>(total / 7);
+
+  losses::CrossEntropyLoss ce;
+  Tensor grad = Tensor::full({7, 10}, 123.0f);  // stale contents
+  const float* storage = grad.data();
+  const float value = ce.eval_into(z, y, grad);
+  EXPECT_EQ(std::memcmp(&value, &want_value, sizeof(float)), 0);
+  ASSERT_TRUE(grad.same_shape(want));
+  EXPECT_EQ(std::memcmp(grad.data(), want.data(), want.numel() * sizeof(float)),
+            0);
+  EXPECT_EQ(grad.data(), storage);
 }
 
 TEST(Focal, EqualsCEAtGammaZero) {

@@ -1,6 +1,7 @@
 // Tensor serialization: stream round-trips, file round-trips, corruption.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -104,6 +105,37 @@ TEST(Serialize, DeserializeRejectsCorruptBuffers) {
   std::string bad = buf;
   bad[4] ^= 0x5A;  // corrupt the first tensor's magic
   EXPECT_THROW(deserialize_tensors(bad.data(), bad.size()), CheckError);
+}
+
+TEST(Serialize, HostileHeaderDimsThrowBeforeAllocating) {
+  // One-record buffers holding only a header (plus `extra` zero bytes).
+  const auto buffer = [](std::uint32_t magic, const Shape& dims,
+                         std::size_t extra) {
+    std::string buf;
+    const auto put = [&buf](auto v) {
+      buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(std::uint32_t{1});  // record count
+    put(magic);
+    put(static_cast<std::uint32_t>(dims.size()));
+    for (long d : dims) put(static_cast<std::int64_t>(d));
+    return buf + std::string(extra, '\0');
+  };
+  const std::uint32_t gft1 = 0x31544647, gfq1 = 0x31514647;
+  // Element count wraps std::size_t to 0; sized ~128 GB from the header.
+  const Shape wraps = {1L << 31, 1L << 31, 4};
+  const Shape huge = {(1L << 32) - 1, 8};
+  EXPECT_THROW(Tensor::shape_numel(wraps), CheckError);
+  for (const Shape& dims : {wraps, huge}) {
+    const std::string buf = buffer(gft1, dims, 0);
+    EXPECT_THROW(deserialize_tensors(buf.data(), buf.size()), CheckError);
+    std::size_t offset = 4;  // the record itself, past the count
+    Tensor t;
+    EXPECT_THROW(read_tensor_record_into(buf.data(), buf.size(), &offset, t),
+                 CheckError);
+    const std::string q = buffer(gfq1, dims, 2 * sizeof(float));  // mn, scale
+    EXPECT_THROW(deserialize_quantized(q.data(), q.size()), CheckError);
+  }
 }
 
 // -- compressed wire records (GFQ1 / GFK1) ----------------------------------
