@@ -1,6 +1,6 @@
-// Micro-benchmarks of the hot kernels (google-benchmark): matmul, im2col
-// convolution lowering, softmax family, and the Goldfish loss terms. These
-// are the cost drivers of every experiment above.
+// Micro-benchmarks of the hot kernels (google-benchmark): matmul, im2col /
+// col2im convolution lowering, softmax family, and the Goldfish loss terms.
+// These are the cost drivers of every experiment above.
 #include <benchmark/benchmark.h>
 
 #include "losses/distillation.h"
@@ -109,6 +109,37 @@ void BM_Im2col(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Im2col);
+
+void BM_Col2im(benchmark::State& state) {
+  Conv2dGeom g{3, 32, 32, 3, 1, 1};
+  Rng rng(3);
+  Tensor cols = Tensor::randn({g.patch_size(), 16 * 32 * 32}, rng);
+  Tensor img;
+  for (auto _ : state) {
+    col2im_into(cols, 16, g, img);
+    benchmark::DoNotOptimize(img.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Col2im);
+
+/// lenet5's conv1 (Arg 1: 1→6, k5, p2, 28×28) or conv2 (Arg 2: 6→16, k5,
+/// 14×14) at batch 20, one forward plus one backward per iteration.
+void BM_Conv2dLenet5(benchmark::State& state) {
+  const bool conv1 = state.range(0) == 1;
+  const long in_c = conv1 ? 1 : 6, out_c = conv1 ? 6 : 16;
+  const long size = conv1 ? 28 : 14, pad = conv1 ? 2 : 0;
+  Rng rng(6);
+  nn::Conv2d conv(in_c, out_c, 5, 1, pad, size, size, rng);
+  Tensor x = Tensor::randn({20, in_c, size, size}, rng);
+  Tensor gy = Tensor::randn({20, out_c, conv.out_h(), conv.out_w()}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.forward(x, true).data());
+    benchmark::DoNotOptimize(conv.backward(gy).data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Conv2dLenet5)->Arg(1)->Arg(2);
 
 void BM_ConvForward(benchmark::State& state) {
   Rng rng(4);

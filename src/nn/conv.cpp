@@ -1,5 +1,6 @@
 #include "nn/conv.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -23,29 +24,28 @@ Conv2d::Conv2d(long in_channels, long out_channels, long kernel, long stride,
 
 Tensor& Conv2d::pack_output(const Tensor& flat, long batch) {
   const long oh = geom_.out_h(), ow = geom_.out_w();
+  const long hw = oh * ow;
   Tensor& img = slot(1, {batch, out_channels_, oh, ow});
-  // flat is (outC, N·oh·ow) with columns ordered (n, y, x).
-  for (long c = 0; c < out_channels_; ++c) {
-    const float* row = flat.data() + c * batch * oh * ow;
-    for (long n = 0; n < batch; ++n)
-      for (long y = 0; y < oh; ++y)
-        for (long x = 0; x < ow; ++x)
-          img.at4(n, c, y, x) = row[(n * oh + y) * ow + x];
-  }
+  // flat is (outC, N·oh·ow) with columns ordered (n, y, x): each (c, n)
+  // block of oh·ow floats is contiguous on both sides.
+  for (long c = 0; c < out_channels_; ++c)
+    for (long n = 0; n < batch; ++n) {
+      const float* src = flat.data() + (c * batch + n) * hw;
+      std::copy(src, src + hw, img.data() + (n * out_channels_ + c) * hw);
+    }
   return img;
 }
 
 Tensor& Conv2d::unpack_grad(const Tensor& grad_img) {
   const long batch = grad_img.dim(0);
   const long oh = geom_.out_h(), ow = geom_.out_w();
-  Tensor& flat = slot(2, {out_channels_, batch * oh * ow});
-  for (long c = 0; c < out_channels_; ++c) {
-    float* row = flat.data() + c * batch * oh * ow;
-    for (long n = 0; n < batch; ++n)
-      for (long y = 0; y < oh; ++y)
-        for (long x = 0; x < ow; ++x)
-          row[(n * oh + y) * ow + x] = grad_img.at4(n, c, y, x);
-  }
+  const long hw = oh * ow;
+  Tensor& flat = slot(2, {out_channels_, batch * hw});
+  for (long c = 0; c < out_channels_; ++c)
+    for (long n = 0; n < batch; ++n) {
+      const float* src = grad_img.data() + (n * out_channels_ + c) * hw;
+      std::copy(src, src + hw, flat.data() + (c * batch + n) * hw);
+    }
   return flat;
 }
 

@@ -202,6 +202,26 @@ Tensor hadamard(Tensor lhs, const Tensor& rhs) {
   return lhs;
 }
 
+namespace {
+
+/// Output positions [lo, hi) along one axis whose input tap
+/// `x·stride + off` lands inside [0, len); `off` is the kernel offset minus
+/// the padding. Every other position of the axis reads padding.
+struct TapSpan {
+  long lo = 0, hi = 0;
+};
+
+TapSpan tap_span(long off, long len, long stride, long out) {
+  // x·stride + off >= 0  ⇔  x >= ceil(-off / stride)
+  const long lo = off >= 0 ? 0 : (stride - off - 1) / stride;
+  // x·stride + off < len  ⇔  x < ceil((len - off) / stride)
+  const long hi = len <= off ? 0 : (len - off + stride - 1) / stride;
+  const long h = std::min(hi, out);
+  return {std::min(lo, h), h};
+}
+
+}  // namespace
+
 void im2col_into(const Tensor& input, const Conv2dGeom& g, Tensor& cols) {
   GOLDFISH_CHECK(input.rank() == 4, "im2col expects (N,C,H,W)");
   GOLDFISH_CHECK(input.dim(1) == g.in_channels && input.dim(2) == g.in_h &&
@@ -209,30 +229,33 @@ void im2col_into(const Tensor& input, const Conv2dGeom& g, Tensor& cols) {
                  "im2col geometry mismatch: " + input.shape_str());
   const long N = input.dim(0);
   const long oh = g.out_h(), ow = g.out_w();
-  const long patch = g.patch_size();
-  cols.resize_uninit({patch, N * oh * ow});  // every element written below
-  float* dst = cols.data();
+  const long kk = g.kernel * g.kernel;
   const long col_stride = N * oh * ow;
-  // Samples write disjoint column ranges → parallel over the batch.
-  parallel_for(N, [&](long n_lo, long n_hi) {
-  for (long n = n_lo; n < n_hi; ++n) {
-    for (long c = 0; c < g.in_channels; ++c) {
-      for (long kh = 0; kh < g.kernel; ++kh) {
-        for (long kw = 0; kw < g.kernel; ++kw) {
-          const long row = ((c * g.kernel) + kh) * g.kernel + kw;
-          for (long y = 0; y < oh; ++y) {
-            const long iy = y * g.stride + kh - g.pad;
-            for (long x = 0; x < ow; ++x) {
-              const long ix = x * g.stride + kw - g.pad;
-              const long col = (n * oh + y) * ow + x;
-              float v = 0.0f;
-              if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
-                v = input.at4(n, c, iy, ix);
-              dst[row * col_stride + col] = v;
-            }
-          }
-        }
+  cols.resize_uninit({g.patch_size(), col_stride});  // every element written
+  float* dst = cols.data();
+  const float* img = input.data();
+  const long plane = g.in_h * g.in_w;
+  // Patch rows are contiguous runs of N·oh·ow columns → parallel over rows,
+  // each worker streaming its own rows front to back.
+  parallel_for(g.patch_size(), [&](long r_lo, long r_hi) {
+  for (long row = r_lo; row < r_hi; ++row) {
+    const long c = row / kk;
+    const long oy = row % kk / g.kernel - g.pad, ox = row % g.kernel - g.pad;
+    const TapSpan ys = tap_span(oy, g.in_h, g.stride, oh);
+    const TapSpan xs = tap_span(ox, g.in_w, g.stride, ow);
+    for (long n = 0; n < N; ++n) {
+      // This sample's oh·ow columns: padding rows, interior rows, padding.
+      float* d = dst + row * col_stride + n * oh * ow;
+      std::fill(d, d + ys.lo * ow, 0.0f);
+      const float* src = img + (n * g.in_channels + c) * plane;
+      for (long y = ys.lo; y < ys.hi; ++y) {
+        float* dr = d + y * ow;
+        const float* s = src + (y * g.stride + oy) * g.in_w;
+        std::fill(dr, dr + xs.lo, 0.0f);
+        for (long x = xs.lo; x < xs.hi; ++x) dr[x] = s[x * g.stride + ox];
+        std::fill(dr + xs.hi, dr + ow, 0.0f);
       }
+      std::fill(d + ys.hi * ow, d + oh * ow, 0.0f);
     }
   }
   }, /*grain=*/1);
@@ -254,23 +277,28 @@ void col2im_into(const Tensor& cols, long batch, const Conv2dGeom& g,
   img.resize_uninit({batch, g.in_channels, g.in_h, g.in_w});
   img.zero();  // padding positions receive no scatter writes
   const float* src = cols.data();
+  float* out = img.data();
   const long col_stride = batch * oh * ow;
+  const long plane = g.in_h * g.in_w;
   // Samples scatter into disjoint image slices → parallel over the batch.
+  // Within a sample the loop order is (c, kh, kw, y, x), which fixes the
+  // order of the additions each image element receives.
   parallel_for(batch, [&](long n_lo, long n_hi) {
   for (long n = n_lo; n < n_hi; ++n) {
     for (long c = 0; c < g.in_channels; ++c) {
+      float* dst = out + (n * g.in_channels + c) * plane;
       for (long kh = 0; kh < g.kernel; ++kh) {
+        const long oy = kh - g.pad;
+        const TapSpan ys = tap_span(oy, g.in_h, g.stride, oh);
         for (long kw = 0; kw < g.kernel; ++kw) {
+          const long ox = kw - g.pad;
+          const TapSpan xs = tap_span(ox, g.in_w, g.stride, ow);
           const long row = ((c * g.kernel) + kh) * g.kernel + kw;
-          for (long y = 0; y < oh; ++y) {
-            const long iy = y * g.stride + kh - g.pad;
-            if (iy < 0 || iy >= g.in_h) continue;
-            for (long x = 0; x < ow; ++x) {
-              const long ix = x * g.stride + kw - g.pad;
-              if (ix < 0 || ix >= g.in_w) continue;
-              const long col = (n * oh + y) * ow + x;
-              img.at4(n, c, iy, ix) += src[row * col_stride + col];
-            }
+          const float* s0 = src + row * col_stride + n * oh * ow;
+          for (long y = ys.lo; y < ys.hi; ++y) {
+            float* d = dst + (y * g.stride + oy) * g.in_w;
+            const float* s = s0 + y * ow;
+            for (long x = xs.lo; x < xs.hi; ++x) d[x * g.stride + ox] += s[x];
           }
         }
       }

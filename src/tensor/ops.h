@@ -109,6 +109,9 @@ Tensor im2col(const Tensor& input, const Conv2dGeom& g);
 
 /// im2col writing into caller-owned storage (resized in place, every
 /// element written including the zero padding — no upfront fill needed).
+/// Parallel over patch rows (c, kh, kw): each worker writes whole rows of
+/// N·outH·outW contiguous columns. Every element is a copy of one input
+/// value or 0, so the result does not depend on the split.
 void im2col_into(const Tensor& input, const Conv2dGeom& g, Tensor& cols);
 
 /// Adjoint of im2col: scatter a (C·K·K, N·outH·outW) matrix of patch
@@ -117,6 +120,11 @@ Tensor col2im(const Tensor& cols, long batch, const Conv2dGeom& g);
 
 /// col2im writing into caller-owned storage (resized in place and zeroed
 /// before the scatter-add, since padding positions receive no writes).
+/// Parallel over samples: each worker owns whole images. Bit-identity
+/// contract: within a sample, each image element receives its additions in
+/// (c, kh, kw, y, x) order of the column entries that map to it, starting
+/// from 0 — the same order at any thread count and as the per-element
+/// reference loop.
 void col2im_into(const Tensor& cols, long batch, const Conv2dGeom& g,
                  Tensor& img);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/adaptive_temperature.h"
 #include "data/partition.h"
@@ -10,6 +11,7 @@
 #include "fl/aggregation.h"
 #include "losses/distillation.h"
 #include "losses/goldfish_loss.h"
+#include "nn/conv.h"
 #include "nn/models.h"
 #include "tensor/ops.h"
 
@@ -263,6 +265,169 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvGeomParam{2, 9, 5, 2, 2},
                       ConvGeomParam{4, 7, 1, 1, 0},
                       ConvGeomParam{1, 10, 3, 3, 1}));
+
+// -- im2col/col2im against the scalar lowering, bit for bit -------------------
+
+// The per-element lowering loops: a bounds test and at4 index math on every
+// element. They define the values and, for col2im, the order of additions
+// that the library's row-segment kernels must reproduce bit for bit.
+Tensor scalar_im2col(const Tensor& input, const Conv2dGeom& g) {
+  const long N = input.dim(0);
+  const long oh = g.out_h(), ow = g.out_w();
+  const long patch = g.patch_size();
+  Tensor cols({patch, N * oh * ow});
+  float* dst = cols.data();
+  const long col_stride = N * oh * ow;
+  for (long n = 0; n < N; ++n) {
+    for (long c = 0; c < g.in_channels; ++c) {
+      for (long kh = 0; kh < g.kernel; ++kh) {
+        for (long kw = 0; kw < g.kernel; ++kw) {
+          const long row = ((c * g.kernel) + kh) * g.kernel + kw;
+          for (long y = 0; y < oh; ++y) {
+            const long iy = y * g.stride + kh - g.pad;
+            for (long x = 0; x < ow; ++x) {
+              const long ix = x * g.stride + kw - g.pad;
+              const long col = (n * oh + y) * ow + x;
+              float v = 0.0f;
+              if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
+                v = input.at4(n, c, iy, ix);
+              dst[row * col_stride + col] = v;
+            }
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+Tensor scalar_col2im(const Tensor& cols, long batch, const Conv2dGeom& g) {
+  const long oh = g.out_h(), ow = g.out_w();
+  Tensor img = Tensor::zeros({batch, g.in_channels, g.in_h, g.in_w});
+  const float* src = cols.data();
+  const long col_stride = batch * oh * ow;
+  for (long n = 0; n < batch; ++n) {
+    for (long c = 0; c < g.in_channels; ++c) {
+      for (long kh = 0; kh < g.kernel; ++kh) {
+        for (long kw = 0; kw < g.kernel; ++kw) {
+          const long row = ((c * g.kernel) + kh) * g.kernel + kw;
+          for (long y = 0; y < oh; ++y) {
+            const long iy = y * g.stride + kh - g.pad;
+            if (iy < 0 || iy >= g.in_h) continue;
+            for (long x = 0; x < ow; ++x) {
+              const long ix = x * g.stride + kw - g.pad;
+              if (ix < 0 || ix >= g.in_w) continue;
+              const long col = (n * oh + y) * ow + x;
+              img.at4(n, c, iy, ix) += src[row * col_stride + col];
+            }
+          }
+        }
+      }
+    }
+  }
+  return img;
+}
+
+/// Element-for-element bit equality (shape first), reporting the first
+/// mismatching flat index.
+::testing::AssertionResult same_bits(const Tensor& got, const Tensor& want) {
+  if (!got.same_shape(want))
+    return ::testing::AssertionFailure()
+           << "shape " << got.shape_str() << " vs " << want.shape_str();
+  for (std::size_t i = 0; i < got.numel(); ++i)
+    if (std::memcmp(got.data() + i, want.data() + i, sizeof(float)) != 0)
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " vs " << want[i];
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Im2colCol2im, MatchScalarReferenceBitwise) {
+  // C × H × W × K × S × P with P < K: rectangular inputs, stride above the
+  // kernel, and windows that overhang a narrow input on both sides.
+  constexpr long kBatch = 3;
+  Rng rng(31);
+  int geometries = 0;
+  Tensor cols, img;  // reused across geometries, as a layer reuses its slots
+  for (long c : {1, 3})
+    for (long h : {5, 8, 11})
+      for (long w : {4, 9})
+        for (long k : {1, 2, 3, 5})
+          for (long s : {1, 2, 3})
+            for (long p = 0; p < k; ++p) {
+              const Conv2dGeom g{c, h, w, k, s, p};
+              if (g.out_h() <= 0 || g.out_w() <= 0) continue;
+              ++geometries;
+              SCOPED_TRACE(::testing::Message()
+                           << "C" << c << " H" << h << " W" << w << " K" << k
+                           << " S" << s << " P" << p);
+              const Tensor x = Tensor::randn({kBatch, c, h, w}, rng);
+              im2col_into(x, g, cols);
+              ASSERT_TRUE(same_bits(cols, scalar_im2col(x, g)));
+              const Tensor y = Tensor::randn(cols.shape(), rng);
+              col2im_into(y, kBatch, g, img);
+              ASSERT_TRUE(same_bits(img, scalar_col2im(y, kBatch, g)));
+            }
+  EXPECT_EQ(geometries, 390);
+}
+
+TEST(Conv2d, LenetShapesMatchScalarLoweringBitwise) {
+  // lenet5's conv1 (1→6, k5, p2, 28×28) and conv2 (6→16, k5, 14×14) at
+  // batch 20. The reference runs the same GEMM calls as Conv2d between the
+  // scalar lowering loops and an at4 pack/unpack of the output layout.
+  struct LenetConv {
+    long in_c, out_c, pad, size;
+  };
+  constexpr long kBatch = 20, kKernel = 5;
+  for (const LenetConv sh :
+       {LenetConv{1, 6, 2, 28}, LenetConv{6, 16, 0, 14}}) {
+    SCOPED_TRACE(::testing::Message() << "conv " << sh.in_c << "->"
+                                      << sh.out_c);
+    Rng rng(32);
+    nn::Conv2d conv(sh.in_c, sh.out_c, kKernel, 1, sh.pad, sh.size, sh.size,
+                    rng);
+    const auto params = conv.params();
+    const Tensor& weight = *params[0].value;
+    Tensor bias = Tensor::randn(params[1].value->shape(), rng);
+    *params[1].value = bias;
+    const Conv2dGeom g{sh.in_c, sh.size, sh.size, kKernel, 1, sh.pad};
+    const long oh = g.out_h(), ow = g.out_w();
+    const Tensor x = Tensor::randn({kBatch, sh.in_c, sh.size, sh.size}, rng);
+    const Tensor gy = Tensor::randn({kBatch, sh.out_c, oh, ow}, rng);
+
+    // Reference forward.
+    const Tensor cols = scalar_im2col(x, g);
+    const Tensor flat = gemm_fused(weight, cols, false, false,
+                                   runtime::Epilogue::kBiasRow, bias);
+    Tensor want_y({kBatch, sh.out_c, oh, ow});
+    for (long c = 0; c < sh.out_c; ++c)
+      for (long n = 0; n < kBatch; ++n)
+        for (long y = 0; y < oh; ++y)
+          for (long xo = 0; xo < ow; ++xo)
+            want_y.at4(n, c, y, xo) = flat.at(c, (n * oh + y) * ow + xo);
+    // Reference backward.
+    Tensor gflat({sh.out_c, kBatch * oh * ow});
+    for (long c = 0; c < sh.out_c; ++c)
+      for (long n = 0; n < kBatch; ++n)
+        for (long y = 0; y < oh; ++y)
+          for (long xo = 0; xo < ow; ++xo)
+            gflat.at(c, (n * oh + y) * ow + xo) = gy.at4(n, c, y, xo);
+    Tensor want_gw = Tensor::zeros(weight.shape());
+    gemm_acc(want_gw, gflat, cols, false, true);
+    Tensor want_gb = Tensor::zeros(bias.shape());
+    for (long c = 0; c < sh.out_c; ++c) {
+      double acc = 0.0;
+      for (long j = 0; j < gflat.dim(1); ++j) acc += gflat.at(c, j);
+      want_gb[std::size_t(c)] = static_cast<float>(acc);
+    }
+    const Tensor want_gx =
+        scalar_col2im(gemm(weight, gflat, true, false), kBatch, g);
+
+    EXPECT_TRUE(same_bits(conv.forward(x, true), want_y));
+    EXPECT_TRUE(same_bits(conv.backward(gy), want_gx));
+    EXPECT_TRUE(same_bits(*params[0].grad, want_gw));
+    EXPECT_TRUE(same_bits(*params[1].grad, want_gb));
+  }
+}
 
 // -- hard losses agree on direction across batch sizes -------------------------
 
