@@ -146,6 +146,13 @@ double wire_reconstruction_error(const std::vector<Tensor>& trained,
   return den > 0.0 ? std::sqrt(num / den) : 0.0;
 }
 
+/// A population whose clients are `datasets`, each adopted as a live record.
+population::Population adopted(std::vector<data::Dataset> datasets) {
+  population::Population pop;
+  for (data::Dataset& ds : datasets) pop.clients.adopt(std::move(ds));
+  return pop;
+}
+
 }  // namespace
 
 /// Phase A output: the complete event plan, fixed before any training runs.
@@ -187,40 +194,24 @@ struct Engine::Schedule {
 
 Engine::Engine(nn::Model global, std::vector<data::Dataset> client_data,
                data::Dataset server_test, FlConfig cfg)
-    : global_(std::move(global)),
-      replica_template_(global_),
-      clients_(std::move(client_data)),
-      active_(clients_.size(), true),
-      test_(std::move(server_test)),
-      cfg_(validated(std::move(cfg), clients_.size())),
-      sched_(&runtime::scheduler_for(cfg_.threads, owned_sched_)),
-      eval_(test_) {
-  GOLDFISH_CHECK(!clients_.empty(), "engine needs clients");
-  GOLDFISH_CHECK(!test_.empty(), "engine needs a server test set");
-  stackable_ = stackable_mlp();
-  // Default behaviour: Algorithm 1's LocalTraining. Each (client, round)
-  // pair gets its own RNG stream via the collision-free splitmix mix.
-  update_fn_ = [this](std::size_t cid, nn::Model& model,
-                      const data::Dataset& ds, long round) {
-    TrainOptions opts = cfg_.local;
-    opts.seed = mix_seed(cfg_.seed, cid, static_cast<std::uint64_t>(round));
-    train_local(model, ds, opts);
-  };
-}
+    : Engine(std::move(global), adopted(std::move(client_data)),
+             std::move(server_test), std::move(cfg)) {}
 
 Engine::Engine(nn::Model global, population::Population pop,
                data::Dataset server_test, FlConfig cfg)
     : global_(std::move(global)),
       replica_template_(global_),
-      pop_(std::make_unique<population::Population>(std::move(pop))),
-      active_(pop_->clients.num_clients(), true),
+      pop_(std::move(pop)),
+      active_(pop_.clients.num_clients(), true),
       test_(std::move(server_test)),
-      cfg_(validated(std::move(cfg), pop_->clients.num_clients())),
+      cfg_(validated(std::move(cfg), pop_.clients.num_clients())),
       sched_(&runtime::scheduler_for(cfg_.threads, owned_sched_)),
       eval_(test_) {
-  GOLDFISH_CHECK(pop_->clients.num_clients() > 0, "engine needs clients");
+  GOLDFISH_CHECK(pop_.clients.num_clients() > 0, "engine needs clients");
   GOLDFISH_CHECK(!test_.empty(), "engine needs a server test set");
   stackable_ = stackable_mlp();
+  // Default behaviour: Algorithm 1's LocalTraining. Each (client, round)
+  // pair gets its own RNG stream via the collision-free splitmix mix.
   update_fn_ = [this](std::size_t cid, nn::Model& model,
                       const data::Dataset& ds, long round) {
     TrainOptions opts = cfg_.local;
@@ -266,20 +257,16 @@ void Engine::set_client_data(std::size_t c, data::Dataset ds) {
         "leased replica's training task; inject a DeletionEvent into the "
         "scenario instead");
   GOLDFISH_CHECK(c < num_clients(), "client id out of range");
-  if (pop_) {
-    // Re-spill the cold record in place — the old payload is never decoded.
-    pop_->clients.replace(c, ds);
-    return;
-  }
-  clients_[c] = std::move(ds);
+  pop_.clients.replace(c, std::move(ds));
 }
 
 const data::Dataset& Engine::client_data(std::size_t c) const {
-  GOLDFISH_CHECK(!pop_,
-                 "client_data() is resident-mode only; population engines "
-                 "keep clients cold (population()->clients)");
-  GOLDFISH_CHECK(c < clients_.size(), "client id out of range");
-  return clients_[c];
+  GOLDFISH_CHECK(c < num_clients(), "client id out of range");
+  const data::Dataset* ds = pop_.clients.live(c);
+  GOLDFISH_CHECK(ds != nullptr,
+                 "client_data() reads live clients only; cold records are "
+                 "reached through population()->clients");
+  return *ds;
 }
 
 std::size_t Engine::active_clients() const {
@@ -717,34 +704,27 @@ struct Engine::EpochTable {
 };
 
 Engine::EpochTable Engine::materialize_epochs(const Scenario& s,
-                                              const Schedule& plan) const {
+                                              const Schedule& plan) {
   EpochTable t;
   t.epochs.resize(plan.total_clients);
   t.final_owned.assign(plan.total_clients, -1);
   const std::size_t n0 = num_clients();
   // Epoch 0: pre-run data for existing clients, the join payload for joined
-  // ones (ids are assigned in join-application order).
-  if (pop_) {
-    // Population mode: decode a client's cold record only if the run
-    // actually reads its data — a consumed training task, or a flip /
-    // backdoor derivation (which transforms the current data). A client
-    // whose only event is a deletion stays cold: its epoch-0 entry is a
-    // never-dereferenced placeholder, and the commit path re-spills the
-    // record without reading it (the eviction-without-materialization
-    // contract, pinned by ClientStateStore::materializations()).
-    std::vector<bool> needs(n0, false);
-    for (const Schedule::Task& tp : plan.tasks)
-      if (tp.consumed_by >= 0 && tp.client < n0) needs[tp.client] = true;
-    for (const LabelFlipEvent& f : s.label_flips)
-      if (f.client < n0) needs[f.client] = true;
-    for (const BackdoorInjectEvent& b : s.backdoors)
-      if (b.client < n0) needs[b.client] = true;
-    for (std::size_t c = 0; c < n0; ++c)
-      t.epochs[c].push_back(needs[c] ? &pop_->clients.materialize(c)
-                                     : nullptr);
-  } else {
-    for (std::size_t c = 0; c < n0; ++c) t.epochs[c].push_back(&clients_[c]);
-  }
+  // ones (ids are assigned in join-application order). A cold record is
+  // decoded only if the run reads its data — a consumed training task, or a
+  // flip / backdoor derivation. A client whose only event is a deletion
+  // stays cold: its epoch-0 entry is a never-dereferenced placeholder, and
+  // the commit re-spills the record without reading it (pinned by
+  // ClientStateStore::materializations()). Live records cost nothing here.
+  std::vector<bool> needs(n0, false);
+  for (const Schedule::Task& tp : plan.tasks)
+    if (tp.consumed_by >= 0 && tp.client < n0) needs[tp.client] = true;
+  for (const LabelFlipEvent& f : s.label_flips)
+    if (f.client < n0) needs[f.client] = true;
+  for (const BackdoorInjectEvent& b : s.backdoors)
+    if (b.client < n0) needs[b.client] = true;
+  for (std::size_t c = 0; c < n0; ++c)
+    t.epochs[c].push_back(needs[c] ? &pop_.clients.materialize(c) : nullptr);
   for (std::size_t p = 0; p < plan.join_order.size(); ++p)
     t.epochs[n0 + p].push_back(&s.joins[plan.join_order[p]].dataset);
 
@@ -851,12 +831,11 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
 
   const WirePolicy* wirep = scenario.wire.get();
   const bool hold_ref = wirep->needs_reference();
-  if (!pop_ && aggregations > 0) {
+  if (aggregations > 0) {
     // Likewise the pool is topped up to a bound on live parameter-sized
     // buffers: each task alive in aggregation a's iteration holds its
     // undownloaded version or its decoded upload (both while a reference
     // wire decodes), plus the fresh merge and one version of slack.
-    // Population runs size memory by the cohort and skip this.
     std::vector<long> in_flight(static_cast<std::size_t>(aggregations) + 1, 0);
     for (const Schedule::Task& tp : plan.tasks) {
       if (tp.consumed_by < 0) continue;
@@ -943,18 +922,18 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
     }
   };
 
+  // Every broadcast version is interned into the content-addressed snapshot
+  // store at publish time — identical replicas dedupe to one refcounted
+  // buffer. The handles pin the versions for the duration of the run; run()
+  // transfers pins to the clients that downloaded them and releases the rest.
+  run_version_handles_.assign(static_cast<std::size_t>(aggregations) + 1,
+                              population::SnapshotStore::Handle{});
+  const auto publish = [&](std::size_t v) {
+    run_version_handles_[v] = pop_.snapshots.intern(version_params[v]);
+    submit_version(v);
+  };
   version_params[0] = global_.snapshot();
-  // Population mode: every broadcast version is interned into the
-  // content-addressed snapshot store at publish time — identical replicas
-  // dedupe to one refcounted buffer. The handles pin the versions for the
-  // duration of the run; run() transfers pins to the clients that
-  // downloaded them and releases the rest.
-  if (pop_) {
-    run_version_handles_.assign(static_cast<std::size_t>(aggregations) + 1,
-                                population::SnapshotStore::Handle{});
-    run_version_handles_[0] = pop_->snapshots.intern(version_params[0]);
-  }
-  submit_version(0);
+  publish(0);
 
   try {
     for (long a = 0; a < aggregations; ++a) {
@@ -992,11 +971,7 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
       std::vector<Tensor> merged = agg.aggregate(updates);
       global_.load(merged);
       version_params[static_cast<std::size_t>(a) + 1] = std::move(merged);
-      if (pop_)
-        run_version_handles_[static_cast<std::size_t>(a) + 1] =
-            pop_->snapshots.intern(
-                version_params[static_cast<std::size_t>(a) + 1]);
-      submit_version(static_cast<std::size_t>(a) + 1);
+      publish(static_cast<std::size_t>(a) + 1);
 
       r.step = a;
       r.virtual_time = ap.time;
@@ -1050,17 +1025,15 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
         } catch (...) {
         }
       }
-    if (pop_) {
-      // The aborted run commits nothing: drop the version pins and free the
-      // cohort slots so the stores are consistent for the next run.
-      for (const population::SnapshotStore::Handle& h : run_version_handles_)
-        pop_->snapshots.release(h);
-      run_version_handles_.clear();
-      pop_->clients.release_all();
-    }
+    // The aborted run commits nothing: drop the version pins and free the
+    // cohort slots so the stores are consistent for the next run.
+    for (const population::SnapshotStore::Handle& h : run_version_handles_)
+      pop_.snapshots.release(h);
+    run_version_handles_.clear();
+    pop_.clients.release_all();
     throw;
   }
-  if (pop_) run_wire_bytes_ = std::move(wire_bytes);
+  run_wire_bytes_ = std::move(wire_bytes);
 }
 
 void Engine::run(Scenario scenario, const StepSink& sink) {
@@ -1111,72 +1084,55 @@ void Engine::run(Scenario scenario, const StepSink& sink) {
   // consume more task indices than there were aggregations, so the
   // aggregation count alone would under-advance.
   round_ += plan.rounds_consumed;
-  if (pop_) {
-    population::ClientStateStore& store = pop_->clients;
-    for (std::size_t ji : plan.join_order) {
-      store.add(scenario.joins[ji].dataset);
-      active_.push_back(true);
-    }
-    // Durable telemetry and reference snapshots, from the executed plan. A
-    // client's reference points at the newest version it downloaded — the
-    // base DeltaWire's needs_reference() path would diff against — and the
-    // set_reference acquire keeps that version's deduped buffer alive.
-    std::vector<long> newest(plan.total_clients, -1);
-    for (std::size_t id = 0; id < plan.tasks.size(); ++id) {
-      const Schedule::Task& tp = plan.tasks[id];
-      store.bump_tasks_started(tp.client, 1);
-      newest[tp.client] = std::max(newest[tp.client], tp.from_version);
-      if (tp.consumed_by >= 0) {
-        store.bump_updates_aggregated(tp.client, 1);
-        store.bump_bytes_uplinked(tp.client, run_wire_bytes_[id]);
-      }
-    }
-    for (std::size_t c = 0; c < plan.total_clients; ++c)
-      if (newest[c] >= 0) {
-        store.set_last_version(c, newest[c]);
-        pop_->set_reference(
-            c, run_version_handles_[static_cast<std::size_t>(newest[c])]);
-      }
-    // Deletions re-spill the cold record in place (the old payload is never
-    // decoded) and drop the client's snapshot reference, so a departed
-    // replica's refcount can reach zero. Order matches resident mode:
-    // deletion payloads commit before the derived flip/backdoor data (and
-    // materialize_epochs clears final_owned when a deletion came last).
-    for (const DeletionEvent& d : scenario.deletions) {
-      store.replace(d.client, d.new_data);
-      pop_->drop_reference(d.client);
-    }
-    for (std::size_t c = 0; c < epochs.final_owned.size(); ++c)
-      if (epochs.final_owned[c] >= 0)
-        store.replace(
-            c,
-            *epochs.owned[static_cast<std::size_t>(epochs.final_owned[c])]);
-    for (const ClientLeaveEvent& l : scenario.leaves)
-      active_[l.client] = false;
-    // End of run: drop the run's own version pins (a version no client
-    // references evaporates from the store) and return every materialized
-    // cohort slot — steady-state resident memory goes back to zero.
-    for (const population::SnapshotStore::Handle& h : run_version_handles_)
-      pop_->snapshots.release(h);
-    run_version_handles_.clear();
-    run_wire_bytes_.clear();
-    store.release_all();
-    return;
-  }
+  population::ClientStateStore& store = pop_.clients;
+  // Joined clients arrived as live datasets and stay live.
   for (std::size_t ji : plan.join_order) {
-    clients_.push_back(std::move(scenario.joins[ji].dataset));
+    store.adopt(std::move(scenario.joins[ji].dataset));
     active_.push_back(true);
   }
-  for (DeletionEvent& d : scenario.deletions)
-    clients_[d.client] = std::move(d.new_data);
-  // Adversarial data mutations are durable too: a client whose *last*
-  // mutation was a flip or backdoor keeps the hostile dataset (a later
-  // deletion supersedes both — its payload just committed above).
+  // Durable telemetry and reference snapshots, from the executed plan. A
+  // client's reference points at the newest version it downloaded — the
+  // base DeltaWire's needs_reference() path would diff against — and the
+  // set_reference acquire keeps that version's deduped buffer alive.
+  std::vector<long> newest(plan.total_clients, -1);
+  for (std::size_t id = 0; id < plan.tasks.size(); ++id) {
+    const Schedule::Task& tp = plan.tasks[id];
+    store.bump_tasks_started(tp.client, 1);
+    newest[tp.client] = std::max(newest[tp.client], tp.from_version);
+    if (tp.consumed_by >= 0) {
+      store.bump_updates_aggregated(tp.client, 1);
+      store.bump_bytes_uplinked(tp.client, run_wire_bytes_[id]);
+    }
+  }
+  for (std::size_t c = 0; c < plan.total_clients; ++c)
+    if (newest[c] >= 0) {
+      store.set_last_version(c, newest[c]);
+      pop_.set_reference(
+          c, run_version_handles_[static_cast<std::size_t>(newest[c])]);
+    }
+  // Deletions replace the client's data (a cold record is re-spilled without
+  // decoding the old payload) and drop its snapshot reference, so a departed
+  // replica's refcount can reach zero. Deletion payloads commit before the
+  // derived flip/backdoor data: a client whose *last* mutation was a flip or
+  // backdoor keeps the hostile dataset, and materialize_epochs clears
+  // final_owned when a deletion came last.
+  for (DeletionEvent& d : scenario.deletions) {
+    store.replace(d.client, std::move(d.new_data));
+    pop_.drop_reference(d.client);
+  }
   for (std::size_t c = 0; c < epochs.final_owned.size(); ++c)
     if (epochs.final_owned[c] >= 0)
-      clients_[c] = std::move(
-          *epochs.owned[static_cast<std::size_t>(epochs.final_owned[c])]);
+      store.replace(c, std::move(*epochs.owned[static_cast<std::size_t>(
+                           epochs.final_owned[c])]));
   for (const ClientLeaveEvent& l : scenario.leaves) active_[l.client] = false;
+  // End of run: drop the run's own version pins (a version no client
+  // references evaporates from the store) and return every materialized
+  // cohort slot — steady-state resident memory goes back to zero.
+  for (const population::SnapshotStore::Handle& h : run_version_handles_)
+    pop_.snapshots.release(h);
+  run_version_handles_.clear();
+  run_wire_bytes_.clear();
+  store.release_all();
 }
 
 std::vector<StepResult> Engine::collect(Scenario scenario) {

@@ -260,8 +260,8 @@ struct StepResult {
 };
 
 /// The single federated server loop. Owns the federation state (global
-/// model, client datasets, pooled client replicas, the server evaluator)
-/// and executes Scenarios against it.
+/// model, the client-state store, pooled client replicas, the server
+/// evaluator) and executes Scenarios against it.
 class Engine {
  public:
   /// The per-client update: receives a local model already initialized from
@@ -275,20 +275,20 @@ class Engine {
   /// Telemetry sink: called once per aggregation, in order.
   using StepSink = std::function<void(const StepResult&)>;
 
+  /// Each dataset becomes a live record (adopted as is, never spilled).
+  Engine(nn::Model global, std::vector<data::Dataset> client_data,
+         data::Dataset server_test, FlConfig cfg);
+
+  /// The federation lives in a population::Population (fl/population/).
+  /// Cold records are materialized into pooled slots only while they
+  /// participate, so a run's resident memory is O(cohort), not O(registered
+  /// clients) — see docs/population.md. Live and cold records run the same
+  /// Scenarios to bit-identical StepResults.
+  ///
   /// Validates `cfg` up front (unknown aggregator string, buffer_size out
   /// of range, negative staleness_alpha / mean_duration, ...) and throws
   /// std::invalid_argument with a specific message instead of misbehaving
   /// later.
-  Engine(nn::Model global, std::vector<data::Dataset> client_data,
-         data::Dataset server_test, FlConfig cfg);
-
-  /// Population-scale construction: the federation lives in a
-  /// population::Population (cold client-state store + content-addressed
-  /// snapshot store, fl/population/) instead of resident datasets. Clients
-  /// are materialized into pooled slots only while they participate, so a
-  /// run's resident memory is O(cohort), not O(registered clients) — see
-  /// docs/population.md. Semantics are otherwise identical: the same
-  /// Scenarios run, and the same data produces bit-identical StepResults.
   Engine(nn::Model global, population::Population pop,
          data::Dataset server_test, FlConfig cfg);
 
@@ -321,16 +321,14 @@ class Engine {
 
   nn::Model& global_model() { return global_; }
   const data::Dataset& server_test() const { return test_; }
-  /// Resident-mode dataset access; throws in population mode (cold records
-  /// are reached through population()->clients instead).
+  /// A live client's dataset; throws CheckError for a cold one (cold
+  /// records are reached through population()->clients instead).
   const data::Dataset& client_data(std::size_t c) const;
-  /// The population stores, or null for a resident-mode engine.
-  population::Population* population() { return pop_.get(); }
-  const population::Population* population() const { return pop_.get(); }
+  /// The client-state and snapshot stores. Never null.
+  population::Population* population() { return &pop_; }
+  const population::Population* population() const { return &pop_; }
   /// Registered clients, inactive (departed) ones included.
-  std::size_t num_clients() const {
-    return pop_ ? pop_->clients.num_clients() : clients_.size();
-  }
+  std::size_t num_clients() const { return pop_.clients.num_clients(); }
   /// Clients currently participating in new runs (joins − leaves).
   std::size_t active_clients() const;
   /// True while a run is in flight (mutating accessors are rejected).
@@ -350,7 +348,6 @@ class Engine {
   void set_client_data(std::size_t c, data::Dataset ds);
 
  private:
-  friend class FederatedSim;
   struct Schedule;
   struct EpochTable;
 
@@ -374,7 +371,7 @@ class Engine {
   /// Replay the data-mutating events (deletions, label flips, backdoor
   /// injections) in merged timeline order, materializing every dataset
   /// version each client trains on during the run.
-  EpochTable materialize_epochs(const Scenario& s, const Schedule& plan) const;
+  EpochTable materialize_epochs(const Scenario& s, const Schedule& plan);
   void execute(const Scenario& scenario, const Schedule& plan,
                const EpochTable& epochs, const StepSink& sink);
 
@@ -399,12 +396,9 @@ class Engine {
   /// thread never races the main thread's writes to global_ — which the
   /// aggregation loop performs while client tasks are still in flight.
   nn::Model replica_template_;
-  std::vector<data::Dataset> clients_;  ///< resident mode; empty when pop_
-  /// Population mode: the cold client-state + snapshot stores. Null for the
-  /// resident-mode constructor — every population branch in the engine is
-  /// behind `if (pop_)`, so resident-mode behaviour (and its golden
-  /// schedules) is untouched byte for byte.
-  std::unique_ptr<population::Population> pop_;
+  /// Every client's data and telemetry (live or cold records), and the
+  /// snapshot store holding their reference snapshots.
+  population::Population pop_;
   std::vector<bool> active_;  ///< false once a ClientLeaveEvent committed
   data::Dataset test_;
   FlConfig cfg_;
@@ -424,9 +418,9 @@ class Engine {
   std::vector<Tensor> stacked_logits_;  // one per client head
   bool stackable_ = false;  // computed once: the architecture never changes
 
-  // Population-mode run scratch: filled by execute(), committed (telemetry,
-  // reference snapshots) and cleared by run(). Index = server version /
-  // plan task id respectively.
+  // Run scratch: filled by execute(), committed (telemetry, reference
+  // snapshots) and cleared by run(). Index = server version / plan task id
+  // respectively.
   std::vector<population::SnapshotStore::Handle> run_version_handles_;
   std::vector<std::size_t> run_wire_bytes_;
 };

@@ -259,7 +259,7 @@ void TopKWire::encode(const std::vector<Tensor>& params,
 
 std::vector<Tensor> TopKWire::decode(const char* data, std::size_t size,
                                      const std::vector<Tensor>*) const {
-  return deserialize_topk(data, size);
+  return deserialize_topk(data, size, fraction_);
 }
 
 std::size_t TopKWire::encoded_bytes(const std::vector<Tensor>& like) const {

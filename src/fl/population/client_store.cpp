@@ -41,11 +41,9 @@ T read_raw(const std::string& bytes, std::size_t offset) {
   return v;
 }
 
-}  // namespace
-
-GOLDFISH_HOT void ClientStateStore::spill(const data::Dataset& ds,
-                                          const Telemetry& t,
-                                          std::string& out) {
+/// The 72-byte GFP1 header: all of a live record, the prefix of a cold one.
+void write_header(const data::Dataset& ds,
+                  const ClientStateStore::Telemetry& t, std::string& out) {
   out.clear();
   append_raw(out, kMagic);
   append_raw(out, std::uint32_t{0});  // reserved
@@ -57,6 +55,14 @@ GOLDFISH_HOT void ClientStateStore::spill(const data::Dataset& ds,
   append_raw(out, static_cast<std::int64_t>(t.updates_aggregated));
   append_raw(out, static_cast<std::uint64_t>(t.bytes_uplinked));
   append_raw(out, static_cast<std::int64_t>(t.last_version));
+}
+
+}  // namespace
+
+GOLDFISH_HOT void ClientStateStore::spill(const data::Dataset& ds,
+                                          const Telemetry& t,
+                                          std::string& out) {
+  write_header(ds, t, out);
   append_tensor_record(out, ds.features);
   // Labels ride as a float GFT1 record (class ids are exact below 2^24),
   // so the whole record parses with the one tensor reader.
@@ -75,11 +81,20 @@ std::size_t ClientStateStore::add(const data::Dataset& ds) {
   return id;
 }
 
+std::size_t ClientStateStore::adopt(data::Dataset ds) {
+  Record& r = records_.emplace_back();
+  write_header(ds, Telemetry{}, r.bytes);
+  r.live = true;
+  r.slot = static_cast<int>(slots_.size());  // its own, never freed
+  slots_.push_back({std::move(ds), records_.size() - 1, 0});
+  return records_.size() - 1;
+}
+
 GOLDFISH_HOT const data::Dataset& ClientStateStore::materialize(
     std::size_t id) {
   GOLDFISH_CHECK(id < records_.size(), "unknown client id");
   Record& r = records_[id];
-  if (r.slot >= 0) return slots_[r.slot].ds;
+  if (r.slot >= 0) return slots_[r.slot].ds;  // resident or live
 
   int slot;
   if (!free_slots_.empty()) {
@@ -133,10 +148,15 @@ bool ClientStateStore::resident(std::size_t id) const {
   return records_[id].slot >= 0;
 }
 
+const data::Dataset* ClientStateStore::live(std::size_t id) const {
+  GOLDFISH_CHECK(id < records_.size(), "unknown client id");
+  return records_[id].live ? &slots_[records_[id].slot].ds : nullptr;
+}
+
 void ClientStateStore::release(std::size_t id) {
   GOLDFISH_CHECK(id < records_.size(), "unknown client id");
   Record& r = records_[id];
-  if (r.slot < 0) return;
+  if (r.slot < 0 || r.live) return;
   Slot& s = slots_[r.slot];
   resident_bytes_ -= s.bytes;
   s.bytes = 0;
@@ -155,13 +175,18 @@ void ClientStateStore::release_all() {
   }
 }
 
-void ClientStateStore::replace(std::size_t id, const data::Dataset& ds) {
+void ClientStateStore::replace(std::size_t id, data::Dataset ds) {
   GOLDFISH_CHECK(id < records_.size(), "unknown client id");
-  release(id);
   Record& r = records_[id];
   // Telemetry survives the data swap; the old tensor payload is never
   // decoded (deletion on a cold client must not force a materialization).
   const Telemetry t = telemetry(id);
+  if (r.live) {
+    write_header(ds, t, r.bytes);
+    slots_[r.slot].ds = std::move(ds);
+    return;
+  }
+  release(id);
   cold_bytes_ -= r.bytes.size();
   spill(ds, t, r.bytes);
   cold_bytes_ += r.bytes.size();

@@ -1,15 +1,15 @@
-// Cold client-state store (the population subsystem's capacity layer,
-// docs/population.md).
+// Client-state store: the engine's only client storage (the population
+// subsystem's capacity layer, docs/population.md).
 //
 // A population-scale federation registers far more clients than ever train
-// concurrently. Keeping a live data::Dataset (float tensors + label vector +
-// telemetry struct) per registered client makes resident memory O(population)
-// — the exact scaling wall ISSUE 10 removes. This store instead keeps each
-// client as one compact byte record ("GFP1" header + GFT1 tensor records,
-// byte-identical to the checkpoint format in tensor/serialize.h) and
-// materializes a client into a pooled slot only while it participates in the
-// active cohort. Resident memory is O(cohort); the cold side is a flat byte
-// cost per client (~features + labels + 72 header bytes).
+// concurrently. A *cold* record (add()) keeps a client as one compact byte
+// string ("GFP1" header + GFT1 tensor records, byte-identical to the
+// checkpoint format in tensor/serialize.h), materialized into a pooled slot
+// only while it is in the active cohort: resident memory is O(cohort), the
+// cold side a flat ~features + labels + 72 header bytes per client. A *live*
+// record (adopt()) pins its Dataset in a slot for good and keeps only the
+// header, so telemetry patches work alike. The store never converts one form
+// into the other.
 //
 // Layout of one record (all little-endian; offsets fixed so telemetry can be
 // patched in place without touching the tensor payload):
@@ -23,7 +23,7 @@
 //       48     8  updates_aggregated     (i64)
 //       56     8  bytes_uplinked         (u64)
 //       64     8  last_version           (i64, -1 = never downloaded)
-//       72     …  features as one GFT1 record
+//       72     …  features as one GFT1 record       (cold records only)
 //        …     …  labels as one GFT1 record (floats; exact below 2^24)
 //
 // Telemetry mutations (bump_* / set_last_version) rewrite only the 32 header
@@ -65,30 +65,39 @@ class ClientStateStore {
   /// client id (dense, 0-based, stable for the store's lifetime).
   std::size_t add(const data::Dataset& ds);
 
+  /// Register a live client: `ds` is pinned in a slot as is, never spilled,
+  /// decoded or released. Ids come from the same dense sequence as add().
+  std::size_t adopt(data::Dataset ds);
+
   std::size_t num_clients() const { return records_.size(); }
 
   /// Decode client `id` into a pooled resident slot and return the live
   /// dataset. Idempotent while resident (returns the same slot). The slot's
   /// tensors are reused across occupants via resize_uninit, so steady-state
   /// cohort turnover performs zero heap allocations once every shape has
-  /// been seen.
+  /// been seen. A live client's dataset is returned as is: no decode, and
+  /// materializations() does not move.
   GOLDFISH_HOT const data::Dataset& materialize(std::size_t id);
 
-  /// True while `id` occupies a resident slot.
+  /// True while `id` occupies a slot (always, for a live record).
   bool resident(std::size_t id) const;
 
+  /// A live client's dataset, or null for a cold record.
+  const data::Dataset* live(std::size_t id) const;
+
   /// Return `id`'s slot to the free list (storage retained for the next
-  /// occupant). No-op if not resident.
+  /// occupant). No-op if not resident, and for live records.
   void release(std::size_t id);
 
-  /// Release every resident slot (end-of-run cohort teardown).
+  /// Release every materialized slot (end-of-run cohort teardown); live
+  /// records keep theirs.
   void release_all();
 
-  /// Overwrite client `id`'s record from `ds`, WITHOUT decoding the old
-  /// bytes — telemetry is preserved across the swap (the departed client's
-  /// audit trail survives its data deletion). Frees the slot first if
-  /// resident, since the resident copy no longer matches the record.
-  void replace(std::size_t id, const data::Dataset& ds);
+  /// Swap client `id`'s data for `ds`, keeping the record's form and its
+  /// telemetry (the departed client's audit trail survives its data
+  /// deletion). A live record is move-assigned; a cold one is re-spilled
+  /// WITHOUT decoding the old bytes, its stale resident slot freed first.
+  void replace(std::size_t id, data::Dataset ds);
 
   /// Durable telemetry, readable hot or cold.
   Telemetry telemetry(std::size_t id) const;
@@ -108,11 +117,11 @@ class ClientStateStore {
 
   /// Total bytes across all cold records.
   std::size_t cold_bytes() const { return cold_bytes_; }
-  /// Bytes held by resident (materialized) datasets right now.
+  /// Bytes held by materialized cold datasets right now (not live ones).
   std::size_t resident_bytes() const { return resident_bytes_; }
   /// High-water mark of resident_bytes() over the store's lifetime.
   std::size_t peak_resident_bytes() const { return peak_resident_bytes_; }
-  /// Number of clients currently materialized.
+  /// Number of cold clients currently materialized.
   std::size_t resident_clients() const { return resident_clients_; }
   /// Lifetime cold→hot decode count. A DeletionEvent on a cold client must
   /// NOT advance this (the eviction-without-materialization contract).
@@ -120,8 +129,9 @@ class ClientStateStore {
 
  private:
   struct Record {
-    std::string bytes;                 ///< GFP1 header + GFT1 tensors
-    int slot = -1;                     ///< resident slot, -1 when cold
+    std::string bytes;                 ///< GFP1 header (+ GFT1 tensors if cold)
+    int slot = -1;                     ///< resident slot, -1 when not resident
+    bool live = false;                 ///< adopted: pinned in `slot` for good
     SnapshotStore::Handle reference;   ///< caller-owned snapshot ref
   };
   struct Slot {

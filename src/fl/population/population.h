@@ -1,8 +1,8 @@
 // Population façade: one object bundling the two population-scale stores
-// (docs/population.md) so the engine carries a single optional member.
+// (docs/population.md), the engine's one home for client state.
 //
-// - `clients` — cold client-state store: datasets + durable telemetry live
-//   as compact byte records; only active-cohort members are materialized.
+// - `clients` — client-state store: datasets + durable telemetry, as live
+//   records or as compact cold byte records materialized only in a cohort.
 // - `snapshots` — content-addressed model snapshot store: broadcast versions
 //   and client reference snapshots dedupe by content hash.
 //

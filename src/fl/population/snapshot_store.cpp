@@ -107,10 +107,6 @@ std::vector<Tensor> SnapshotStore::materialize(const Handle& h) const {
   return deserialize_tensors(e.data.data(), e.data.size());
 }
 
-const std::string& SnapshotStore::bytes(const Handle& h) const {
-  return entry_at(h).data;
-}
-
 long SnapshotStore::refcount(const Handle& h) const {
   if (!h.valid) return 0;
   const auto it = entries_.find(h.hash);

@@ -57,9 +57,6 @@ class SnapshotStore {
   /// Decode the referenced snapshot back into tensors.
   std::vector<Tensor> materialize(const Handle& h) const;
 
-  /// The raw serialized bytes of the referenced snapshot.
-  const std::string& bytes(const Handle& h) const;
-
   /// Current reference count of `h` (0 for invalid or released handles).
   long refcount(const Handle& h) const;
 

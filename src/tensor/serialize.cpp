@@ -321,20 +321,28 @@ void serialize_topk(const std::vector<Tensor>& ts, double fraction,
   }
 }
 
-std::vector<Tensor> deserialize_topk(const char* data, std::size_t size) {
+std::vector<Tensor> deserialize_topk(const char* data, std::size_t size,
+                                     double fraction) {
+  GOLDFISH_CHECK(fraction > 0.0 && fraction <= 1.0,
+                 "top-k fraction must be in (0, 1]");
   ByteReader r{data, size};
   const std::uint32_t n = r.take<std::uint32_t>();
   GOLDFISH_CHECK(n < (1u << 20), "implausible tensor count");
   std::vector<Tensor> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    Tensor t =
-        Tensor::uninit(read_record_shape(r, kTopKMagic, "top-k record"));
+    const Shape shape = read_record_shape(r, kTopKMagic, "top-k record");
+    const std::size_t numel = Tensor::shape_numel(shape);
+    GOLDFISH_CHECK(numel < (1ULL << 32), "tensor too large for top-k");
     const std::uint32_t k = r.take<std::uint32_t>();
-    GOLDFISH_CHECK(k <= t.numel(), "top-k k exceeds element count");
+    // k is fixed by shape and fraction, so numel <= k / fraction bounds the
+    // allocation by the payload actually present.
+    GOLDFISH_CHECK(long(k) == topk_count(long(numel), fraction),
+                   "top-k k does not match the shape and fraction");
     GOLDFISH_CHECK(r.left >= std::size_t(k) * (sizeof(std::uint32_t) +
                                                sizeof(float)),
                    "truncated top-k payload");
+    Tensor t = Tensor::uninit(shape);
     std::memset(t.data(), 0, t.numel() * sizeof(float));
     const char* idx_bytes = r.p;
     const char* val_bytes = r.p + std::size_t(k) * sizeof(std::uint32_t);

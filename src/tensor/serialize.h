@@ -86,10 +86,13 @@ std::vector<Tensor> deserialize_quantized(const char* data, std::size_t size);
 void serialize_topk(const std::vector<Tensor>& ts, double fraction,
                     std::string& out);
 
-/// Parse a "GFK1" buffer back into dense tensors (zeros + scatter). Throws
-/// on malformed or truncated input (bad magic, k > numel, out-of-range or
-/// non-ascending indices).
-std::vector<Tensor> deserialize_topk(const char* data, std::size_t size);
+/// Parse a "GFK1" buffer encoded at `fraction` back into dense tensors
+/// (zeros + scatter). Throws on malformed or truncated input (bad magic,
+/// numel >= 2^32, k != topk_count(numel, fraction), out-of-range or
+/// non-ascending indices) before allocating: each record's dense size is
+/// bounded by its payload bytes divided by the fraction.
+std::vector<Tensor> deserialize_topk(const char* data, std::size_t size,
+                                     double fraction);
 
 /// The k used for one tensor of `numel` elements at `fraction` ∈ (0, 1]:
 /// ceil(fraction·numel), at least 1 for non-empty tensors. Shared by the

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -138,6 +139,38 @@ TEST(ClientStore, TelemetryPatchesInPlaceAndSurvivesReplace) {
   EXPECT_EQ(t.tasks_started, 3);
   EXPECT_EQ(t.last_version, 7);
   EXPECT_TRUE(datasets_bitwise_equal(store.materialize(0), fed.parts[1]));
+
+  // An adopted (live) client keeps only the header: telemetry patches the
+  // same bytes, reads never decode, and the record is neither cold nor
+  // resident cohort state. release_all() and replace() keep it live.
+  const std::size_t decoded = store.materializations();
+  const std::size_t resident = store.resident_bytes();
+  const std::size_t cold = store.cold_bytes();
+  const std::size_t live = store.adopt(fed.parts[0]);
+  ASSERT_NE(store.live(live), nullptr);
+  EXPECT_EQ(store.live(0), nullptr);
+  EXPECT_EQ(store.record_bytes(live), 72u);
+  EXPECT_EQ(store.cold_bytes(), cold);
+  store.bump_tasks_started(live, 5);
+  store.bump_bytes_uplinked(live, 128);
+  store.set_last_version(live, 2);
+  EXPECT_TRUE(datasets_bitwise_equal(store.materialize(live), fed.parts[0]));
+  EXPECT_EQ(store.materializations(), decoded);
+  EXPECT_EQ(store.resident_bytes(), resident);
+  store.release_all();
+  ASSERT_NE(store.live(live), nullptr);
+  EXPECT_TRUE(store.resident(live));
+  EXPECT_EQ(store.resident_bytes(), 0u);
+  EXPECT_TRUE(datasets_bitwise_equal(*store.live(live), fed.parts[0]));
+  store.replace(live, fed.parts[1]);
+  ASSERT_NE(store.live(live), nullptr);
+  EXPECT_EQ(store.materializations(), decoded);
+  EXPECT_EQ(store.resident_bytes(), 0u);
+  t = store.telemetry(live);
+  EXPECT_EQ(t.tasks_started, 5);
+  EXPECT_EQ(t.bytes_uplinked, 128u);
+  EXPECT_EQ(t.last_version, 2);
+  EXPECT_TRUE(datasets_bitwise_equal(*store.live(live), fed.parts[1]));
 }
 
 // -- content-addressed snapshot store --------------------------------------
@@ -421,29 +454,45 @@ TEST(PopulationEngine, MatchesResidentEngineBitForBit) {
 }
 
 TEST(PopulationEngine, DurableStateAndTelemetryCommit) {
-  Fed fed = make_fed(5, 150, 40, 1602);
-  fl::FlConfig cfg = fast_cfg();
-  fl::Engine eng(fed.global, make_population(fed.parts), fed.test, cfg);
-  auto steps = eng.collect(eng.sync_scenario(2));
-  ASSERT_EQ(steps.size(), 2u);
+  // Cold records (a Population) and live ones (the dataset constructor)
+  // commit the same durable state.
+  for (bool live : {false, true}) {
+    Fed fed = make_fed(5, 150, 40, 1602);
+    fl::FlConfig cfg = fast_cfg();
+    auto eng = live ? std::make_unique<fl::Engine>(fed.global, fed.parts,
+                                                   fed.test, cfg)
+                    : std::make_unique<fl::Engine>(
+                          fed.global, make_population(fed.parts), fed.test,
+                          cfg);
+    auto steps = eng->collect(eng->sync_scenario(2));
+    ASSERT_EQ(steps.size(), 2u);
 
-  auto* pop = eng.population();
-  std::size_t started = 0, aggregated = 0;
-  for (std::size_t c = 0; c < eng.num_clients(); ++c) {
-    const auto t = pop->clients.telemetry(c);
-    started += static_cast<std::size_t>(t.tasks_started);
-    aggregated += static_cast<std::size_t>(t.updates_aggregated);
-    EXPECT_GT(t.bytes_uplinked, 0u);
-    EXPECT_GE(t.last_version, 1L);
+    auto* pop = eng->population();
+    ASSERT_NE(pop, nullptr);
+    std::size_t started = 0, aggregated = 0;
+    for (std::size_t c = 0; c < eng->num_clients(); ++c) {
+      const auto t = pop->clients.telemetry(c);
+      started += static_cast<std::size_t>(t.tasks_started);
+      aggregated += static_cast<std::size_t>(t.updates_aggregated);
+      EXPECT_GT(t.bytes_uplinked, 0u);
+      EXPECT_GE(t.last_version, 1L);
+    }
+    EXPECT_EQ(aggregated, 10u);  // 2 barrier rounds × 5 clients
+    EXPECT_GE(started, aggregated);
+    // All five clients downloaded the same final version: one deduped
+    // snapshot, five references.
+    EXPECT_EQ(pop->snapshots.unique_snapshots(), 1u);
+    EXPECT_EQ(pop->snapshots.total_references(), 5u);
+    EXPECT_EQ(pop->clients.resident_bytes(), 0u);
+    // client_data() reads live clients and throws for cold ones.
+    for (std::size_t c = 0; c < eng->num_clients(); ++c) {
+      if (live)
+        EXPECT_TRUE(datasets_bitwise_equal(eng->client_data(c),
+                                           fed.parts[c]));
+      else
+        EXPECT_THROW(eng->client_data(c), CheckError);
+    }
   }
-  EXPECT_EQ(aggregated, 10u);  // 2 barrier rounds × 5 clients
-  EXPECT_GE(started, aggregated);
-  // All five clients downloaded the same final version: one deduped
-  // snapshot, five references.
-  EXPECT_EQ(pop->snapshots.unique_snapshots(), 1u);
-  EXPECT_EQ(pop->snapshots.total_references(), 5u);
-  // client_data() is a resident-mode API.
-  EXPECT_THROW(eng.client_data(0), CheckError);
 }
 
 TEST(PopulationEngine, DeletionOnColdClientEvictsWithoutMaterializing) {

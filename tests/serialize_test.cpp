@@ -121,7 +121,8 @@ TEST(Serialize, HostileHeaderDimsThrowBeforeAllocating) {
     for (long d : dims) put(static_cast<std::int64_t>(d));
     return buf + std::string(extra, '\0');
   };
-  const std::uint32_t gft1 = 0x31544647, gfq1 = 0x31514647;
+  const std::uint32_t gft1 = 0x31544647, gfq1 = 0x31514647,
+                      gfk1 = 0x314B4647;
   // Element count wraps std::size_t to 0; sized ~128 GB from the header.
   const Shape wraps = {1L << 31, 1L << 31, 4};
   const Shape huge = {(1L << 32) - 1, 8};
@@ -135,6 +136,8 @@ TEST(Serialize, HostileHeaderDimsThrowBeforeAllocating) {
                  CheckError);
     const std::string q = buffer(gfq1, dims, 2 * sizeof(float));  // mn, scale
     EXPECT_THROW(deserialize_quantized(q.data(), q.size()), CheckError);
+    const std::string k = buffer(gfk1, dims, sizeof(std::uint32_t));  // k = 0
+    EXPECT_THROW(deserialize_topk(k.data(), k.size(), 0.5), CheckError);
   }
 }
 
@@ -256,7 +259,7 @@ TEST(SerializeTopK, ByteLayoutMatchesSpecFixture) {
   serialize_topk(ts, 1.0 / 3.0, got);
   EXPECT_EQ(got, expect);
 
-  const auto back = deserialize_topk(got.data(), got.size());
+  const auto back = deserialize_topk(got.data(), got.size(), 1.0 / 3.0);
   ASSERT_EQ(back.size(), 1u);
   const float want[6] = {0.0f, -2.0f, 0.0f, 0.0f, 0.0f, 3.0f};
   for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(back[0][i], want[i]);
@@ -269,7 +272,7 @@ TEST(SerializeTopK, MagnitudeTiesKeepLowestIndex) {
   ts.push_back(Tensor::from({1, -1, 1, 1}));
   std::string buf;
   serialize_topk(ts, 0.5, buf);
-  const auto back = deserialize_topk(buf.data(), buf.size());
+  const auto back = deserialize_topk(buf.data(), buf.size(), 0.5);
   EXPECT_EQ(back[0][0], 1.0f);
   EXPECT_EQ(back[0][1], -1.0f);
   EXPECT_EQ(back[0][2], 0.0f);
@@ -296,10 +299,10 @@ TEST(SerializeTopK, RejectsCorruptBuffers) {
   ts.push_back(Tensor::randn({32}, rng));
   std::string buf;
   serialize_topk(ts, 0.25, buf);
-  EXPECT_THROW(deserialize_topk(buf.data(), buf.size() - 5), CheckError);
+  EXPECT_THROW(deserialize_topk(buf.data(), buf.size() - 5, 0.25), CheckError);
   std::string bad = buf;
   bad[4] ^= 0x5A;  // corrupt the record magic
-  EXPECT_THROW(deserialize_topk(bad.data(), bad.size()), CheckError);
+  EXPECT_THROW(deserialize_topk(bad.data(), bad.size(), 0.25), CheckError);
   // Swap the two first (ascending) indices: the stream is non-canonical.
   std::string swapped;
   serialize_topk(ts, 0.25, swapped);
@@ -309,7 +312,8 @@ TEST(SerializeTopK, RejectsCorruptBuffers) {
   std::memcpy(&b, swapped.data() + idx0 + 4, 4);
   std::memcpy(&swapped[idx0], &b, 4);
   std::memcpy(&swapped[idx0 + 4], &a, 4);
-  EXPECT_THROW(deserialize_topk(swapped.data(), swapped.size()), CheckError);
+  EXPECT_THROW(deserialize_topk(swapped.data(), swapped.size(), 0.25),
+               CheckError);
 }
 
 TEST(Serialize, RoundtripThroughBytesCountsWire) {
