@@ -1,5 +1,7 @@
 #include "core/distill_trainer.h"
 
+#include <algorithm>
+
 #include "core/early_termination.h"
 #include "fl/trainer.h"
 #include "nn/sgd.h"
@@ -7,17 +9,58 @@
 
 namespace goldfish::core {
 
+namespace {
+
+/// out[r] = table[indices[r]] for r < count; `out` is resized in place, so a
+/// buffer reused across batches stops allocating once the shape is seen.
+void gather_rows(const Tensor& table, const std::size_t* indices,
+                 std::size_t count, Tensor& out) {
+  const long c = table.dim(1);
+  out.resize_uninit({static_cast<long>(count), c});
+  for (std::size_t r = 0; r < count; ++r) {
+    const float* src = table.data() + indices[r] * static_cast<std::size_t>(c);
+    std::copy(src, src + c, out.data() + r * static_cast<std::size_t>(c));
+  }
+}
+
+}  // namespace
+
 float reference_loss_of(nn::Model& prev_global, const data::Dataset& d_r,
                         const DistillOptions& opts) {
   const auto hard = losses::make_hard_loss(opts.loss.hard_loss_name);
   return fl::dataset_loss(prev_global, d_r, *hard);
 }
 
+TeacherTargets teacher_targets(nn::Model& teacher, const data::Dataset& d_r,
+                               const DistillOptions& opts) {
+  GOLDFISH_CHECK(!d_r.empty(), "remaining dataset is empty");
+  const auto hard = losses::make_hard_loss(opts.loss.hard_loss_name);
+  TeacherTargets targets;
+  // The chunking reference_loss_of uses, so the reference loss is the same
+  // double sum over the same chunk losses.
+  targets.reference_loss = fl::dataset_loss(
+      teacher, d_r, *hard, fl::kDatasetLossChunk, &targets.logits);
+  return targets;
+}
+
 DistillResult goldfish_distill(nn::Model& student, nn::Model& teacher,
                                const data::Dataset& d_r,
                                const data::Dataset& d_f, float reference_loss,
                                const DistillOptions& opts) {
+  TeacherTargets targets = teacher_targets(teacher, d_r, opts);
+  targets.reference_loss = reference_loss;
+  return goldfish_distill(student, targets, d_r, d_f, opts);
+}
+
+DistillResult goldfish_distill(nn::Model& student,
+                               const TeacherTargets& targets,
+                               const data::Dataset& d_r,
+                               const data::Dataset& d_f,
+                               const DistillOptions& opts) {
   GOLDFISH_CHECK(!d_r.empty(), "remaining dataset is empty");
+  GOLDFISH_CHECK(targets.logits.rank() == 2 &&
+                     targets.logits.dim(0) == d_r.size(),
+                 "teacher targets do not cover the remaining dataset");
 
   // Extension module: per-client temperature from the deletion fraction.
   losses::GoldfishLossConfig loss_cfg = opts.loss;
@@ -31,11 +74,16 @@ DistillResult goldfish_distill(nn::Model& student, nn::Model& teacher,
   nn::Sgd sgd(sgd_opts);
   Rng rng(opts.seed);
 
-  ExcessRiskTracker tracker(reference_loss, opts.delta);
+  ExcessRiskTracker tracker(targets.reference_loss, opts.delta);
   DistillResult result;
   result.temperature_used = loss_cfg.temperature;
 
   const bool have_forget = !d_f.empty();
+  // Batch buffers reused across steps (each forward is backpropagated
+  // before the next batch overwrites them).
+  Tensor x;
+  std::vector<long> y;
+  Tensor teacher_logits;
   for (long epoch = 0; epoch < opts.max_epochs; ++epoch) {
     data::BatchIterator it_r(d_r, opts.batch_size, rng);
     // The removed set is small (|D_r| ≫ |D_f|); cycle its batches so every
@@ -50,8 +98,9 @@ DistillResult goldfish_distill(nn::Model& student, nn::Model& teacher,
       double step_loss = 0.0;
       // Remaining-data pass: hard loss + distillation from the teacher.
       {
-        auto [x, y] = d_r.batch(it_r.batch_indices(b));
-        const Tensor& teacher_logits = teacher.forward(x, /*train=*/false);
+        const auto [idx, count] = it_r.batch_span(b);
+        d_r.batch_into(idx, count, x, y);
+        gather_rows(targets.logits, idx, count, teacher_logits);
         const Tensor& student_logits = student.forward(x, /*train=*/true);
         const losses::GoldfishBatchLoss lr =
             loss.eval_remaining(student_logits, y, teacher_logits);
@@ -61,10 +110,11 @@ DistillResult goldfish_distill(nn::Model& student, nn::Model& teacher,
       }
       // Removed-data pass: −L_f (saturated) + confusion loss.
       if (have_forget) {
-        auto [xf, yf] = d_f.batch(it_f.batch_indices(b % f_batches));
-        const Tensor& student_logits_f = student.forward(xf, /*train=*/true);
+        const auto [idx, count] = it_f.batch_span(b % f_batches);
+        d_f.batch_into(idx, count, x, y);
+        const Tensor& student_logits_f = student.forward(x, /*train=*/true);
         const losses::GoldfishBatchLoss lf =
-            loss.eval_forget(student_logits_f, yf);
+            loss.eval_forget(student_logits_f, y);
         student.backward(lf.grad_f);
         step_loss += lf.total;
       }

@@ -35,11 +35,38 @@ struct DistillResult {
   float temperature_used = 0.0f;
 };
 
-/// Run the Goldfish local update. `teacher` provides soft targets (its
-/// weights are never modified; non-const because forward passes mutate layer
-/// caches). `reference_loss` is L(ω^{t−1}) for Eq. 7 — pass the teacher's
-/// hard loss on d_r (helper below). `d_f` may be empty (normal clients,
-/// Algorithm 1 line 32).
+/// The frozen teacher's view of D_r, computed once per client task: one
+/// forward pass over D_r (fl::dataset_loss's 256-row chunks) yields both the
+/// teacher's logits table and the Eq. 7 reference loss, so distillation
+/// epochs gather teacher rows instead of forwarding the teacher per batch.
+///
+/// The table is bitwise what a per-batch `teacher.forward` would give: a
+/// row's logits depend only on that row. runtime::sgemm reduces k in a fixed
+/// order and runs the full zero-padded microkernel whatever m and n are, and
+/// conv lowering, activations, pooling and eval-mode BatchNorm are
+/// per-sample, so which rows share a forward pass never changes a result.
+struct TeacherTargets {
+  Tensor logits;              ///< (|D_r|, C): row i = teacher logits of row i
+  float reference_loss = 0.0f;  ///< L(ω^{t−1}) on D_r, as reference_loss_of
+};
+
+/// One teacher pass over `d_r`; `reference_loss` is bit-identical to
+/// reference_loss_of(teacher, d_r, opts).
+TeacherTargets teacher_targets(nn::Model& teacher, const data::Dataset& d_r,
+                               const DistillOptions& opts);
+
+/// Run the Goldfish local update against precomputed teacher targets (the
+/// only training loop). `targets` must come from `d_r`; its reference loss
+/// anchors Eq. 7. `d_f` may be empty (normal clients, Algorithm 1 line 32).
+DistillResult goldfish_distill(nn::Model& student,
+                               const TeacherTargets& targets,
+                               const data::Dataset& d_r,
+                               const data::Dataset& d_f,
+                               const DistillOptions& opts);
+
+/// Convenience form: builds `teacher`'s targets on `d_r` (its weights are
+/// never modified; non-const because forward passes mutate layer caches),
+/// then distills with `reference_loss` as L(ω^{t−1}) for Eq. 7.
 DistillResult goldfish_distill(nn::Model& student, nn::Model& teacher,
                                const data::Dataset& d_r,
                                const data::Dataset& d_f, float reference_loss,

@@ -231,11 +231,18 @@ Engine::ModelLease::ModelLease(Engine& eng) : eng_(eng) {
     ++eng_.pool_total_;
   }
   // Deeper than execute() seeded the pool: clone a fresh replica. Every
-  // later lease reuses it. Cloned from the immutable template, not global_:
-  // the aggregation loop writes global_ while worker-thread leases may still
-  // be growing the pool.
-  model_ = std::make_unique<nn::Model>(eng_.replica_template_);
-  model_->keep_scratch();
+  // later lease reuses it. (In a run that evaluates, its task evaluates it
+  // once more; warming here keeps other runs' leases allocation-free.)
+  model_ = eng_.new_replica(eng_.eval_seen_);
+}
+
+std::unique_ptr<nn::Model> Engine::new_replica(bool warm) const {
+  // Cloned from the immutable template, not global_: the aggregation loop
+  // writes global_ while worker-thread leases may still be growing the pool.
+  auto replica = std::make_unique<nn::Model>(replica_template_);
+  replica->keep_scratch();
+  if (warm) eval_.accuracy(*replica);
+  return replica;
 }
 
 Engine::ModelLease::~ModelLease() {
@@ -818,15 +825,24 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
   // earlier runs. So: one replica per lane (at most one per task) is seeded
   // here, not when overlap first demands it, and leases rotate FIFO, so a
   // run uses, and thereby warms, every replica.
+  // Per-task local accuracy (architectures whose evaluation cannot be
+  // stacked) is measured on the still-leased replica right after training.
+  // Once one run evaluates, every replica must have met the evaluation
+  // shapes before a later run leases it: replicas older than the first
+  // evaluating run warm here, newer ones in the evaluating run's tasks or,
+  // when their run does not evaluate, at creation.
+  const bool eval_in_task = scenario.local_accuracy && !stackable_;
   std::size_t consumed = 0;
   for (const std::vector<std::size_t>& ids : by_version) consumed += ids.size();
   {
     std::lock_guard<std::mutex> lock(pool_mu_);
+    if (eval_in_task && !eval_seen_)
+      for (const std::unique_ptr<nn::Model>& replica : pool_)
+        eval_.accuracy(*replica);
+    eval_seen_ = eval_seen_ || eval_in_task;
     for (; pool_total_ < std::min(sched_->parallelism(), consumed);
-         ++pool_total_) {
-      pool_.push_back(std::make_unique<nn::Model>(replica_template_));
-      pool_.back()->keep_scratch();
-    }
+         ++pool_total_)
+      pool_.push_back(new_replica(eval_seen_ && !eval_in_task));
   }
 
   const WirePolicy* wirep = scenario.wire.get();
@@ -866,10 +882,6 @@ void Engine::execute(const Scenario& scenario, const Schedule& plan,
   // encode/decode roundtrip, so the version-release refcount drop moves
   // after the wire path for them.
   const bool lossy = !wirep->lossless();
-  // Per-task local accuracy for architectures whose evaluation cannot be
-  // stacked: measured on the still-leased replica right after training,
-  // like the historical synchronous round did.
-  const bool eval_in_task = scenario.local_accuracy && !stackable_;
   std::vector<double> task_local_acc(eval_in_task ? num_tasks : 0, 0.0);
   const long round_base = round_;
 

@@ -366,6 +366,12 @@ class Engine {
     std::unique_ptr<nn::Model> model_;
   };
 
+  /// A fresh pool replica: a template clone that keeps training scratch.
+  /// `warm` also runs the local-accuracy evaluation on it once, so the
+  /// test-set forward shapes grow its workspace now, not inside a later run
+  /// that first leases it for an evaluation.
+  std::unique_ptr<nn::Model> new_replica(bool warm) const;
+
   void validate_scenario(const Scenario& s) const;
   Schedule build_schedule(const Scenario& s) const;
   /// Replay the data-mutating events (deletions, label flips, backdoor
@@ -412,6 +418,9 @@ class Engine {
   std::mutex pool_mu_;
   std::deque<std::unique_ptr<nn::Model>> pool_;  // free replicas, FIFO
   std::size_t pool_total_ = 0;                   // replicas ever created
+  // Some run has evaluated local accuracy on replicas; from then on every
+  // replica must have met the evaluation shapes before a run leases it.
+  bool eval_seen_ = false;
 
   // Stacked-evaluation scratch, reused across rounds.
   Tensor stacked_w_, stacked_b_, stacked_y_;

@@ -7,14 +7,39 @@ namespace goldfish::fl::population {
 
 namespace {
 
-/// FNV-1a, 64-bit: simple, fast, and implementation-pinned (the content
-/// address must be identical across machines for cross-run comparisons).
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001B3ull;
+/// 64-bit MurmurHash2 (MurmurHash64A) over the bytes read as little-endian
+/// 8-byte words plus a byte tail: one multiply chain step per word rather
+/// than per byte. Words are assembled from bytes, never loaded in host
+/// order, so the content address is identical across machines (cross-run
+/// comparisons depend on that).
+std::uint64_t content_hash(const std::string& bytes) {
+  constexpr std::uint64_t m = 0xC6A4A7935BD1E995ull;
+  constexpr int r = 47;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  const std::size_t n = bytes.size();
+  const auto load = [p](std::size_t at, std::size_t len) {
+    std::uint64_t w = 0;
+    for (std::size_t i = 0; i < len; ++i)
+      w |= static_cast<std::uint64_t>(p[at + i]) << (8 * i);
+    return w;
+  };
+  std::uint64_t h = 0xCBF29CE484222325ull ^ (n * m);
+  const std::size_t body = n & ~std::size_t{7};
+  for (std::size_t at = 0; at < body; at += 8) {
+    std::uint64_t k = load(at, 8);
+    k *= m;
+    k ^= k >> r;
+    k *= m;
+    h ^= k;
+    h *= m;
   }
+  if (n != body) {
+    h ^= load(body, n - body);
+    h *= m;
+  }
+  h ^= h >> r;
+  h *= m;
+  h ^= h >> r;
   return h;
 }
 
@@ -25,7 +50,7 @@ SnapshotStore::Handle SnapshotStore::intern(
   serialize_tensors(params, scratch_);
   ++interned_total_;
   Handle h;
-  h.hash = fnv1a(scratch_);
+  h.hash = content_hash(scratch_);
   h.valid = true;
   std::vector<Entry>& chain = entries_[h.hash];
   for (std::size_t s = 0; s < chain.size(); ++s) {

@@ -10,11 +10,11 @@
 // commits release the departed client's reference; refcounts observably
 // reach zero — tests/population_test.cpp pins this).
 //
-// Hashing is FNV-1a over the exact serialized bytes, so two snapshots
-// collide only if they are bit-identical — which is precisely when they
-// *should* dedupe. 64-bit hash collisions between different contents are
-// handled by per-hash chaining (a Handle carries the chain slot), never by
-// silent aliasing.
+// Hashing is MurmurHash64A (little-endian 8-byte words, then a byte tail)
+// over the exact serialized bytes, so two snapshots collide only if they
+// are bit-identical — which is precisely when they *should* dedupe. 64-bit
+// hash collisions between different contents are handled by per-hash
+// chaining (a Handle carries the chain slot), never by silent aliasing.
 //
 // Not thread-safe by design: the engine interns versions on the main thread
 // at publish time (Phase B's aggregation loop) and commits references after

@@ -50,7 +50,8 @@ TrainStats train_local(nn::Model& model, const data::Dataset& ds,
 }
 
 float dataset_loss(nn::Model& model, const data::Dataset& ds,
-                   const losses::HardLoss& loss, long batch_size) {
+                   const losses::HardLoss& loss, long batch_size,
+                   Tensor* logits) {
   GOLDFISH_CHECK(!ds.empty(), "loss over an empty dataset");
   double total = 0.0;
   long batches = 0;
@@ -59,8 +60,14 @@ float dataset_loss(nn::Model& model, const data::Dataset& ds,
     const long hi = std::min(n, lo + batch_size);
     auto [x, yp] = ds.batch_view(lo, hi);
     const std::vector<long> y(yp, yp + (hi - lo));
-    const Tensor& logits = model.forward(x, /*train=*/false);
-    total += loss.eval(logits, y).value;
+    const Tensor& out = model.forward(x, /*train=*/false);
+    if (logits != nullptr) {
+      const long c = out.dim(1);
+      if (lo == 0) logits->resize_uninit({n, c});
+      std::copy(out.data(), out.data() + out.numel(),
+                logits->data() + static_cast<std::size_t>(lo * c));
+    }
+    total += loss.eval(out, y).value;
     ++batches;
   }
   return static_cast<float>(total / double(batches));

@@ -30,9 +30,15 @@ struct TrainStats {
 TrainStats train_local(nn::Model& model, const data::Dataset& ds,
                        const TrainOptions& opts);
 
+/// dataset_loss's default chunk: rows forwarded per evaluation batch.
+inline constexpr long kDatasetLossChunk = 256;
+
 /// One evaluation-only pass: mean hard loss of the model over the dataset
-/// (used for the empirical-risk reference L(ω^{t−1}) in Eq. 7).
+/// (used for the empirical-risk reference L(ω^{t−1}) in Eq. 7). A non-null
+/// `logits` receives the pass's (N, C) outputs, row i for dataset row i.
 float dataset_loss(nn::Model& model, const data::Dataset& ds,
-                   const losses::HardLoss& loss, long batch_size = 256);
+                   const losses::HardLoss& loss,
+                   long batch_size = kDatasetLossChunk,
+                   Tensor* logits = nullptr);
 
 }  // namespace goldfish::fl

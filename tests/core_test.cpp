@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 
 #include "core/distill_trainer.h"
 #include "core/early_termination.h"
@@ -170,6 +172,141 @@ TEST(DistillTrainer, EmptyRemainingThrows) {
   core::DistillOptions opts;
   EXPECT_THROW(core::goldfish_distill(student, teacher, data::Dataset(),
                                       data::Dataset(), 1.0f, opts),
+               CheckError);
+}
+
+// -- teacher targets: one teacher pass per distillation task ----------------
+
+bool floats_bitwise_equal(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+bool bits_equal(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// The logits table is exactly what per-batch teacher forwards produce: for
+// an MLP, a conv net and a ResNet whose eval-mode BatchNorm has trained
+// running statistics, every shuffled batch's gathered rows equal the
+// teacher's forward on that batch bit for bit, whatever the batch size. The
+// reference loss is reference_loss_of's, bit for bit. 300 rows make both the
+// 256-row chunking and every batch size end on a partial chunk.
+TEST(DistillTrainer, TeacherTargetsMatchPerBatchForwardBitwise) {
+  struct Case {
+    const char* name;
+    data::DatasetKind kind;
+    std::function<nn::Model(const nn::InputGeom&, Rng&)> make;
+  };
+  const std::vector<Case> cases = {
+      {"mlp64", data::DatasetKind::Mnist,
+       [](const nn::InputGeom& g, Rng& rng) {
+         return nn::make_mlp(g, 64, 10, rng);
+       }},
+      {"lenet5", data::DatasetKind::Mnist,
+       [](const nn::InputGeom& g, Rng& rng) {
+         return nn::make_lenet5(g, 10, rng);
+       }},
+      {"resnet8", data::DatasetKind::Cifar10,
+       [](const nn::InputGeom& g, Rng& rng) {
+         return nn::make_resnet(g, 10, 8, 4, rng);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const data::TrainTest tt =
+        data::make_synthetic(data::default_spec(c.kind, 57, 300, 10));
+    Rng rng(58);
+    nn::Model teacher = c.make(tt.train.geom, rng);
+    fl::TrainOptions train;
+    train.epochs = 1;
+    train.batch_size = 50;
+    train.lr = 0.01f;
+    fl::train_local(teacher, tt.train, train);  // moves BatchNorm statistics
+
+    core::DistillOptions opts;
+    const core::TeacherTargets targets =
+        core::teacher_targets(teacher, tt.train, opts);
+    ASSERT_EQ(targets.logits.dim(0), tt.train.size());
+    ASSERT_EQ(targets.logits.dim(1), 10);
+    EXPECT_TRUE(bits_equal(targets.reference_loss,
+                           core::reference_loss_of(teacher, tt.train, opts)));
+
+    const std::size_t cols = 10;
+    for (long batch : {7L, 20L, 100L}) {
+      Rng order(59 + static_cast<std::uint64_t>(batch));
+      data::BatchIterator it(tt.train, batch, order);
+      for (std::size_t b = 0; b < it.num_batches(); ++b) {
+        const std::vector<std::size_t> idx = it.batch_indices(b);
+        const Tensor& logits =
+            teacher.forward(tt.train.batch(idx).first, /*train=*/false);
+        ASSERT_EQ(logits.dim(0), static_cast<long>(idx.size()));
+        for (std::size_t r = 0; r < idx.size(); ++r)
+          ASSERT_TRUE(floats_bitwise_equal(
+              targets.logits.data() + idx[r] * cols,
+              logits.data() + r * cols, cols))
+              << "batch size " << batch << ", batch " << b << ", row "
+              << idx[r];
+      }
+    }
+  }
+}
+
+// The teacher overload is a wrapper over the targets overload: with the same
+// reference loss, both leave the student bit-identical and report the same
+// result, with forget data, adaptive temperature and early termination on.
+TEST(DistillTrainer, TargetsOverloadMatchesTeacherOverloadBitwise) {
+  auto& f = distill_fixture();
+  nn::Model teacher = f.teacher;
+  Rng rng(60);
+  const nn::Model init = nn::make_mlp({1, 28, 28}, 32, 10, rng);
+  const data::Dataset d_f = f.tt.train.subset({3, 9, 27, 81, 243});
+  core::DistillOptions opts;
+  opts.max_epochs = 6;
+  opts.batch_size = 64;
+  opts.lr = 0.02f;
+  opts.delta = 0.5f;
+  opts.seed = 61;
+
+  nn::Model via_teacher = init;
+  const float ref = core::reference_loss_of(teacher, f.tt.train, opts);
+  const core::DistillResult a = core::goldfish_distill(
+      via_teacher, teacher, f.tt.train, d_f, ref, opts);
+
+  nn::Model via_targets = init;
+  const core::TeacherTargets targets =
+      core::teacher_targets(teacher, f.tt.train, opts);
+  const core::DistillResult b =
+      core::goldfish_distill(via_targets, targets, f.tt.train, d_f, opts);
+
+  EXPECT_EQ(a.epochs_run, b.epochs_run);
+  EXPECT_EQ(a.terminated_early, b.terminated_early);
+  EXPECT_TRUE(bits_equal(a.final_excess_risk, b.final_excess_risk));
+  EXPECT_TRUE(bits_equal(a.temperature_used, b.temperature_used));
+  ASSERT_EQ(a.epoch_losses.size(), b.epoch_losses.size());
+  for (std::size_t e = 0; e < a.epoch_losses.size(); ++e)
+    EXPECT_TRUE(bits_equal(a.epoch_losses[e], b.epoch_losses[e])) << e;
+  const std::vector<Tensor> pa = via_teacher.snapshot();
+  const std::vector<Tensor> pb = via_targets.snapshot();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_EQ(pa[i].numel(), pb[i].numel());
+    EXPECT_TRUE(floats_bitwise_equal(pa[i].data(), pb[i].data(),
+                                     pa[i].numel()))
+        << "parameter " << i;
+  }
+}
+
+TEST(DistillTrainer, TargetsMustCoverTheRemainingData) {
+  auto& f = distill_fixture();
+  nn::Model teacher = f.teacher;
+  Rng rng(62);
+  nn::Model student = nn::make_mlp({1, 28, 28}, 8, 10, rng);
+  core::DistillOptions opts;
+  const data::Dataset part = f.tt.train.subset({0, 1, 2});
+  const core::TeacherTargets targets =
+      core::teacher_targets(teacher, part, opts);
+  EXPECT_THROW(core::goldfish_distill(student, targets, f.tt.train,
+                                      data::Dataset(), opts),
+               CheckError);
+  EXPECT_THROW(core::teacher_targets(teacher, data::Dataset(), opts),
                CheckError);
 }
 

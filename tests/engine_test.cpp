@@ -674,6 +674,40 @@ TEST(ComposedScenarios, SteadyStateAllocatesNothingAtEveryThreadCount) {
   }
 }
 
+// The same contract for a model the engine cannot stack: lenet5 measures
+// local accuracy per task on the leased replica, so that evaluation must
+// reach its steady state in the warm-up too, however tasks overlapped and
+// whichever kind of run warmed up first (the async run, which does not
+// evaluate, creates more replicas than a sync round leases).
+TEST(ComposedScenarios,
+     NonStackableLocalAccuracyAllocatesNothingAtEveryThreadCount) {
+  if (!alloc_stats::enabled())
+    GTEST_SKIP() << "built without GOLDFISH_ALLOC_STATS";
+  for (bool sync_first : {true, false}) {
+    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+      Fed fed = make_fed(3, 150, 60, 389);
+      Rng rng(390);
+      fed.global = nn::make_lenet5({1, 28, 28}, 10, rng);
+      fl::FlConfig cfg = fast_cfg();
+      cfg.threads = threads;
+      cfg.local.batch_size = 25;
+      cfg.async.buffer_size = 2;
+      fl::FederatedSim sim(fed.global, fed.parts, fed.test, cfg);
+      if (sync_first) sim.run_round();  // warm-up
+      sim.run_async(3);
+      if (!sync_first) sim.run_round();
+      for (int rep = 0; rep < 3; ++rep) {
+        const std::size_t before = alloc_stats::heap_allocations();
+        sim.run_round();
+        sim.run_async(3);
+        EXPECT_EQ(alloc_stats::heap_allocations() - before, 0u)
+            << (sync_first ? "sync" : "async") << " warm-up first, "
+            << threads << " threads, repetition " << rep;
+      }
+    }
+  }
+}
+
 // -- unlearning through the engine -----------------------------------------
 
 // GoldfishUnlearner rides the same engine, so distillation rounds compose

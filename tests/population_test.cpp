@@ -207,6 +207,36 @@ TEST(SnapshotStore, DedupsIdenticalSnapshotsAndFreesAtZeroRefs) {
   store.release(fl::population::SnapshotStore::Handle{});
 }
 
+// The content hash reads 8-byte words and then a byte tail: a change to any
+// single byte of the tail still moves the handle. One rank-1 tensor of two
+// floats serializes to 28 bytes (3 words + a 4-byte tail holding the last
+// float), so each byte of the last float lies in the tail.
+TEST(SnapshotStore, OneByteChangeInTheTailChangesTheHandle) {
+  Tensor base({2});
+  base.data()[0] = 1.5f;
+  base.data()[1] = -2.25f;
+  std::string bytes;
+  serialize_tensors({base}, bytes);
+  ASSERT_EQ(bytes.size() % 8, 4u);
+
+  fl::population::SnapshotStore store;
+  const auto h0 = store.intern({base});
+  for (std::size_t byte = 0; byte < sizeof(float); ++byte) {
+    Tensor changed = base;
+    auto* raw = reinterpret_cast<unsigned char*>(changed.data() + 1);
+    raw[byte] ^= 0x01;
+    const auto h = store.intern({changed});
+    EXPECT_NE(h.hash, h0.hash) << "tail byte " << byte;
+    EXPECT_TRUE(snapshots_bitwise_equal(store.materialize(h), {changed}));
+    store.release(h);
+  }
+  // The unchanged content still dedupes onto the first handle.
+  const auto again = store.intern({base});
+  EXPECT_EQ(again.hash, h0.hash);
+  EXPECT_EQ(again.slot, h0.slot);
+  EXPECT_EQ(store.refcount(h0), 2);
+}
+
 // -- hierarchical aggregation ----------------------------------------------
 
 std::vector<fl::ClientUpdate> make_updates(std::size_t n, std::uint64_t seed) {
